@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special as sp_special
 
 from ._util import as_values
-from .errors import DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 
 # Rate pairs closer than this relative gap are rejected by Hypoexponential:
 # the partial-fraction weights cancel catastrophically there.  Equal-rate
@@ -323,14 +323,22 @@ class EME:
 
 
 def _exp_tail_series(n, u):
-    """sum_{j>=0} u^j * n! / (n+j)!; stable for |u| <= n + 1."""
+    """sum_{j>=0} u^j * n! / (n+j)! = 1F1(1; n+1; u); stable for |u| <= n + 1.
+
+    At |u| = n + 1 the terms fall like exp(-j^2 / 2n), so about 9.2 sqrt(n)
+    of them reach the 1e-18 cutoff; the cap leaves room above that."""
     term = np.ones_like(u)
     acc = np.ones_like(u)
-    for j in range(1, 600):
+    for j in range(1, math.ceil(10.0 * math.sqrt(n)) + 600):
         term = term * u / (n + j)
         acc = acc + term
         if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
             break
+    else:
+        raise ConvergenceError(
+            f"EME series for n={n} did not converge in {j} terms "
+            f"(max |u| = {np.abs(u).max():.6g})"
+        )
     return acc
 
 

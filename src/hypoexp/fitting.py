@@ -36,12 +36,13 @@ def moment_start(values, n):
     """
     x = as_values(values, require_positive=True)
     mean = x.mean()
-    var = x.var()
-    if var <= 0.0:
+    # mean^2/var, computed on x/mean so that no square can overflow
+    cv2 = (x / mean).var()
+    if cv2 <= 0.0:
         raise DataError("data are degenerate: zero variance")
     # ratio = (n + w)^2 / (n + w^2) lies in (1, n + 1]; clamp the sample value
     # into the open interior so the quadratic below stays solvable
-    ratio = min(max(mean**2 / var, 1.02), n + 1 - 0.02)
+    ratio = min(max(1.0 / cv2, 1.02), n + 1 - 0.02)
     disc = math.sqrt(n * ratio * (n + 1 - ratio))
     starts = []
     for root in ((n + disc) / (ratio - 1), (-n + disc) / (1 - ratio)):

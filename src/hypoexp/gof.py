@@ -32,6 +32,10 @@ METHOD_NOTE = (
     "package's own design"
 )
 
+# Replicates per bootstrap block: about 512 KiB of draws, so the block and the
+# kernel's working arrays stay in a typical L2 cache.
+_BLOCK_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class GofConfig:
@@ -92,6 +96,12 @@ class GofResult:
     replicates: np.ndarray = field(repr=False)
     config: GofConfig = None
 
+    @property
+    def mc_standard_error(self):
+        """Monte Carlo standard error of ``p_value``, sqrt(p(1-p)/B): how far
+        the bootstrap p-value may sit from its B -> infinity limit."""
+        return math.sqrt(self.p_value * (1.0 - self.p_value) / len(self.replicates))
+
 
 def empirical_laplace(data, t):
     """Empirical Laplace transform (1/N) sum_i exp(-t x_i), t >= 0."""
@@ -117,33 +127,54 @@ def _residual_rows(phi_t, phi_wt, n, w):
     return lead * phi_wt * power - (w - 1.0) * phi_wt + acc
 
 
-def _emp_lt_uniform_grid(y, step, points):
-    """Empirical transform on the uniform grid step*(1..points).
+def _grid_means(y, step, exponents):
+    """Row means of exp(-y*step)**e for each integer e in the increasing
+    list ``exponents`` (rows: R x N).
 
-    Uses exp(-y*step*g) = exp(-y*step)^g: one exp per element, then cumulative
-    products, which also keeps memory at O(rows x N) instead of
-    O(rows x N x points)."""
-    base = np.exp(-y * step)
-    powers = np.ones_like(base)
-    out = np.empty((y.shape[0], points))
-    for g in range(points):
-        powers *= base
-        out[:, g] = powers.mean(axis=1)
+    One exp per element, then in-place multiplies: exp(-y*step*e) =
+    exp(-y*step)**e, so memory stays at O(R x N) whatever the grid."""
+    base = np.exp(-step * y)
+    power = base.copy()
+    out = np.empty((y.shape[0], len(exponents)))
+    reached = 1
+    for col, e in enumerate(exponents):
+        for _ in range(e - reached):
+            power *= base
+        reached = e
+        out[:, col] = power.sum(axis=1)
+    out /= y.shape[1]
     return out
+
+
+def _grid_transforms(y, cfg):
+    """Empirical Phi(t) and Phi(wt) on the grid t = dt*(1..G), per row of y.
+
+    For integer w, Phi(wt) sits at exponents w*(1..G) of the same power
+    table, so one pass over {1..G} U w*{1..G} gives both."""
+    dt = cfg.t_max / cfg.grid_points
+    g = np.arange(1, cfg.grid_points + 1)
+    if float(cfg.w).is_integer():
+        wg = int(cfg.w) * g
+        exponents = np.union1d(g, wg)
+        means = _grid_means(y, dt, exponents)
+        return means[:, g - 1], means[:, np.searchsorted(exponents, wg)]
+    return _grid_means(y, dt, g), _grid_means(y, cfg.w * dt, g)
+
+
+def _residuals(rows, cfg):
+    """Characterization residual on the grid for each row of positive
+    observations (rows: R x N), after rescaling each row by its mean."""
+    y = rows / rows.mean(axis=1, keepdims=True)  # standardized: null becomes Exp(1)
+    phi_t, phi_wt = _grid_transforms(y, cfg)
+    return _residual_rows(phi_t, phi_wt, cfg.n, cfg.w)
 
 
 def _statistic_rows(rows, cfg):
     """Statistic for each row of positive observations (rows: R x N)."""
     x = np.asarray(rows, dtype=float)
-    n_obs = x.shape[1]
-    y = x / x.mean(axis=1, keepdims=True)  # standardized: null becomes Exp(1)
-    t = cfg.grid
-    dt = cfg.t_max / cfg.grid_points
-    phi_t = _emp_lt_uniform_grid(y, dt, cfg.grid_points)
-    phi_wt = _emp_lt_uniform_grid(y, cfg.w * dt, cfg.grid_points)
-    resid = _residual_rows(phi_t, phi_wt, cfg.n, cfg.w)
-    weight = np.exp(-cfg.grid_decay * t)
-    return n_obs * (resid * resid * weight).sum(axis=1) * dt
+    resid = _residuals(x, cfg)
+    weight = np.exp(-cfg.grid_decay * cfg.grid)
+    return x.shape[1] * (resid * resid * weight).sum(axis=1) * (cfg.t_max / cfg.grid_points)
 
 
 def gof_statistic(data, cfg=None):
@@ -164,22 +195,19 @@ def gof_residual_curve(data, cfg=None):
     plot-ready diagnostic behind the statistic."""
     cfg = cfg or GofConfig()
     x = as_values(data, require_positive=True)
-    y = (x / x.mean())[None, :]
-    dt = cfg.t_max / cfg.grid_points
-    phi_t = _emp_lt_uniform_grid(y, dt, cfg.grid_points)
-    phi_wt = _emp_lt_uniform_grid(y, cfg.w * dt, cfg.grid_points)
-    resid = _residual_rows(phi_t, phi_wt, cfg.n, cfg.w)[0]
-    return cfg.grid, resid
+    return cfg.grid, _residuals(x[None, :], cfg)[0]
 
 
 def _bootstrap_rows(n_obs, reps, seed, start):
-    """Standard-exponential replicate rows; replicate b owns the stream
-    seeded by (seed, b) so results do not depend on chunking or scheduling."""
-    rows = np.empty((reps, n_obs))
-    for i in range(reps):
-        rng = np.random.default_rng((int(seed) & 0xFFFFFFFF, start + i))
-        rows[i] = -np.log1p(-rng.random(n_obs))
-    return rows
+    """Standard-exponential replicate rows start .. start+reps-1.
+
+    One Philox stream keyed by ``seed``; replicate b owns its counter block
+    [(b-1)k, bk), k = ceil(n_obs/4), and keeps the first n_obs of the 4k
+    uniforms it yields, so results do not depend on chunking or scheduling."""
+    k = -(-n_obs // 4)
+    bits = np.random.Philox(key=int(seed) & 0xFFFFFFFF, counter=(start - 1) * k)
+    uniforms = np.random.Generator(bits).random((reps, 4 * k))[:, :n_obs]
+    return -np.log1p(-uniforms)
 
 
 def gof_test(data, cfg=None):
@@ -198,14 +226,12 @@ def gof_test(data, cfg=None):
 
     n_obs = x.size
     reps = cfg.bootstrap_reps
-    chunk = max(1, 24_000_000 // (n_obs * 2 * cfg.grid_points) + 1)
+    block = max(1, _BLOCK_BYTES // (8 * n_obs))
     replicates = np.empty(reps)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
+    for done in range(0, reps, block):
+        take = min(block, reps - done)
         rows = _bootstrap_rows(n_obs, take, cfg.seed, start=done + 1)
         replicates[done : done + take] = _statistic_rows(rows, cfg)
-        done += take
 
     p_value = (1.0 + np.count_nonzero(replicates >= t_obs)) / (reps + 1.0)
     return GofResult(

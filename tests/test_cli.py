@@ -128,6 +128,7 @@ class TestGof:
         rec = json.loads(out1.strip())
         assert set(rec) >= {"statistic", "p_value", "lambda_hat", "n", "w", "B",
                             "seed", "reject"}
+        assert "mc_standard_error" not in rec  # diagnostics stay out of records
 
     def test_exit_zero_even_on_rejection(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

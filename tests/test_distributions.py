@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from hypoexp import (
     EME,
+    ConvergenceError,
     DomainError,
     Erlang,
     Exponential,
@@ -17,6 +18,7 @@ from hypoexp import (
     moments,
     regularized_upper_gamma,
 )
+from hypoexp.distributions import _exp_tail_series
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -201,6 +203,23 @@ class TestEME:
             np.testing.assert_allclose(d.pdf(x), ref.pdf(x), rtol=1e-7, atol=1e-12)
             np.testing.assert_allclose(d.cdf(x), ref.cdf(x), rtol=1e-7, atol=1e-12)
         assert not EME(2, 1.5, 1.5).is_erlang_limit
+
+    def test_tail_series_at_branch_point_large_n(self):
+        # the series is 1F1(1; n+1; u); at |u| = n+1 it needs ~9.2 sqrt(n)
+        # terms, beyond any fixed cap for large n
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        n = 20_000
+        u = np.array([n + 1.0, -(n + 1.0)])
+        got = _exp_tail_series(n, u)
+        for ui, gi in zip(u, got):
+            want = float(mpmath.hyp1f1(1, n + 1, ui))
+            assert gi == pytest.approx(want, rel=1e-12)
+
+    def test_tail_series_raises_when_unconverged(self):
+        # far outside its branch (|u| >> n+1) the terms grow past the cap
+        with pytest.raises(ConvergenceError):
+            _exp_tail_series(1, np.array([500.0]))
 
     def test_extreme_w_stays_finite_and_normalized(self):
         for (n, rate, w) in [(10, 1.0, 0.1), (10, 1.0, 10.0), (5, 3.0, 100.0),

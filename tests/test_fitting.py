@@ -42,6 +42,13 @@ class TestMomentStart:
         assert best[0] == pytest.approx(1.0, rel=0.1)
         assert best[1] == pytest.approx(4.0, rel=0.2)
 
+    def test_extreme_scale_does_not_overflow(self):
+        # mean^2 and the variance overflow at 1e200; the ratio must not
+        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(7)).values
+        for (r1, w1), (r2, w2) in zip(moment_start(x, 2), moment_start(1e200 * x, 2)):
+            assert r2 * 1e200 == pytest.approx(r1, rel=1e-12)
+            assert w2 == pytest.approx(w1, rel=1e-12)
+
     def test_offers_both_sides_when_ambiguous(self):
         # near-Erlang data: the moment map admits roots on both sides of 1
         x = Erlang(3, 1.0).sample(50_000, np.random.default_rng(1)).values
@@ -72,6 +79,13 @@ class TestRecovery:
         fit, ll = fit_eme(x, n=2)
         for rate0, w0 in moment_start(x, 2):
             assert ll >= eme_log_likelihood(x, EME(2, rate0, w0)) - 1e-6
+
+    def test_fit_is_scale_equivariant_at_1e200(self):
+        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(0)).values
+        fit, _ = fit_eme(x, n=2)
+        scaled, _ = fit_eme(1e200 * x, n=2)
+        assert scaled.rate == pytest.approx(fit.rate / 1e200, rel=1e-6)
+        assert scaled.w == pytest.approx(fit.w, rel=1e-6)
 
     def test_search_on_erlang_data_recovers_mean(self):
         # Erlang(3, 1) sits on the w -> 1 boundary of every EME(n, ., w); the

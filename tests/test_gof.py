@@ -14,7 +14,7 @@ from hypoexp import (
     gof_statistic,
     gof_test,
 )
-from hypoexp.gof import _residual_rows, _statistic_rows
+from hypoexp.gof import _bootstrap_rows, _grid_transforms, _residual_rows, _statistic_rows
 
 
 class TestEmpiricalLaplace:
@@ -95,6 +95,34 @@ class TestStatistic:
         with pytest.raises(DataError):
             gof_statistic(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("w", [2.0, 3.0, 0.5, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_transforms_match_empirical_laplace(self, w, n):
+        # one power table for integer w, two for the rest: both must give
+        # the empirical transform at t and at w*t
+        cfg = GofConfig(n=n, w=w)
+        rng = np.random.default_rng(14)
+        rows = rng.exponential(1.0, (3, 90))
+        rows[2] = rng.lognormal(0.0, 1.0, 90)
+        y = rows / rows.mean(axis=1, keepdims=True)
+        phi_t, phi_wt = _grid_transforms(y, cfg)
+        for r in range(3):
+            np.testing.assert_allclose(phi_t[r], empirical_laplace(y[r], cfg.grid), rtol=1e-12)
+            np.testing.assert_allclose(
+                phi_wt[r], empirical_laplace(y[r], w * cfg.grid), rtol=1e-12
+            )
+
+    def test_residual_curve_matches_statistic(self):
+        rng = np.random.default_rng(15)
+        x = rng.weibull(0.5, 150)
+        cfg = GofConfig()
+        t, resid = gof_residual_curve(x, cfg)
+        stat, _ = gof_statistic(x, cfg)
+        dt = cfg.t_max / cfg.grid_points
+        assert stat == pytest.approx(
+            x.size * (resid**2 * np.exp(-cfg.grid_decay * t)).sum() * dt, rel=1e-14
+        )
+
     def test_null_residual_shrinks(self):
         rng = np.random.default_rng(4)
         curves = []
@@ -118,16 +146,33 @@ class TestBootstrapTest:
         np.testing.assert_array_equal(a.replicates, b.replicates)
 
     def test_replicate_stream_is_named_by_index(self):
-        # replicate b draws from generator seeded by (seed, b), independent of
-        # chunk boundaries; recompute replicate 5 by hand
+        # replicate b owns counter block [(b-1)k, bk), k = ceil(N/4), of the
+        # Philox stream keyed by the seed; recompute replicate 5 by hand
         rng = np.random.default_rng(6)
         x = rng.exponential(1.0, 80)
         cfg = GofConfig(bootstrap_reps=99, seed=7)
         res = gof_test(x, cfg)
-        stream = np.random.default_rng((7, 5))
-        row = -np.log1p(-stream.random(80))
+        k = 20
+        stream = np.random.Generator(np.random.Philox(key=7, counter=4 * k))
+        row = -np.log1p(-stream.random(4 * k)[:80])
         want = _statistic_rows(row[None, :], cfg)[0]
         assert res.replicates[4] == want
+
+    @pytest.mark.parametrize("n_obs", [1, 7, 80, 201])
+    def test_replicate_rows_do_not_depend_on_chunking(self, n_obs):
+        whole = _bootstrap_rows(n_obs, 10, 123, 1)
+        np.testing.assert_array_equal(whole[7:10], _bootstrap_rows(n_obs, 3, 123, 8))
+        # replicate 8 keeps the first n_obs uniforms of its counter block
+        k = -(-n_obs // 4)
+        stream = np.random.Generator(np.random.Philox(key=123, counter=7 * k))
+        np.testing.assert_array_equal(whole[7], -np.log1p(-stream.random(4 * k)[:n_obs]))
+
+    def test_mc_standard_error(self):
+        rng = np.random.default_rng(13)
+        res = gof_test(rng.exponential(1.0, 60), GofConfig(bootstrap_reps=199, seed=4))
+        p = res.p_value
+        assert res.mc_standard_error == pytest.approx(math.sqrt(p * (1.0 - p) / 199), rel=1e-15)
+        assert "mc_standard_error" not in res.__dataclass_fields__
 
     def test_p_value_convention(self):
         rng = np.random.default_rng(8)
