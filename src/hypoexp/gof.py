@@ -149,15 +149,16 @@ def _grid_means(y, step, exponents):
 def _grid_transforms(y, cfg):
     """Empirical Phi(t) and Phi(wt) on the grid t = dt*(1..G), per row of y.
 
-    For integer w, Phi(wt) sits at exponents w*(1..G) of the same power
-    table, so one pass over {1..G} U w*{1..G} gives both."""
+    At the default w = 2, Phi(2t) sits at the even exponents of Phi(t)'s
+    power table, so one pass over {1..G} U 2*{1..G} gives both and saves an
+    exp and G/2 row sums.  Any other w takes one pass per transform: a larger
+    whole-number w would need w*G multiplies in one table."""
     dt = cfg.t_max / cfg.grid_points
     g = np.arange(1, cfg.grid_points + 1)
-    if float(cfg.w).is_integer():
-        wg = int(cfg.w) * g
-        exponents = np.union1d(g, wg)
+    if cfg.w == 2.0:
+        exponents = np.union1d(g, 2 * g)
         means = _grid_means(y, dt, exponents)
-        return means[:, g - 1], means[:, np.searchsorted(exponents, wg)]
+        return means[:, : cfg.grid_points], means[:, np.searchsorted(exponents, 2 * g)]
     return _grid_means(y, dt, g), _grid_means(y, cfg.w * dt, g)
 
 
@@ -201,9 +202,11 @@ def gof_residual_curve(data, cfg=None):
 def _bootstrap_rows(n_obs, reps, seed, start):
     """Standard-exponential replicate rows start .. start+reps-1.
 
-    One Philox stream keyed by ``seed``; replicate b owns its counter block
-    [(b-1)k, bk), k = ceil(n_obs/4), and keeps the first n_obs of the 4k
-    uniforms it yields, so results do not depend on chunking or scheduling."""
+    Replicate b is -log1p(-u) of the first n_obs of the 4k uniforms drawn
+    from Generator(Philox(key=seed & 0xFFFFFFFF, counter=(b-1)k)),
+    k = ceil(n_obs/4).  numpy's Philox steps the counter before each 4-word
+    output, so replicate b uses counter values (b-1)k+1 .. bk, a block of its
+    own: results do not depend on chunking or scheduling."""
     k = -(-n_obs // 4)
     bits = np.random.Philox(key=int(seed) & 0xFFFFFFFF, counter=(start - 1) * k)
     uniforms = np.random.Generator(bits).random((reps, 4 * k))[:, :n_obs]

@@ -81,6 +81,11 @@ class TestRecovery:
             assert ll >= eme_log_likelihood(x, EME(2, rate0, w0)) - 1e-6
 
     def test_fit_is_scale_equivariant_at_1e200(self):
+        # the margin is small: this seed matches to 7.8e-7, because the fit
+        # sums the log-likelihood in the data's own scale and so is scale-
+        # equivariant only to about 1e-6.  Standardizing by the mean before
+        # fitting (ROADMAP item 2) is the fix; if this fails after a numpy or
+        # scipy update, record it as a finding rather than loosen the bound.
         x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(0)).values
         fit, _ = fit_eme(x, n=2)
         scaled, _ = fit_eme(1e200 * x, n=2)

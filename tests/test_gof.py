@@ -95,11 +95,12 @@ class TestStatistic:
         with pytest.raises(DataError):
             gof_statistic(np.array([1.0, 0.0]))
 
-    @pytest.mark.parametrize("w", [2.0, 3.0, 0.5, 2.5])
+    @pytest.mark.parametrize("w", [2.0, 3.0, 0.5, 2.5, 10.0, 1e9, 1e19])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_grid_transforms_match_empirical_laplace(self, w, n):
-        # one power table for integer w, two for the rest: both must give
-        # the empirical transform at t and at w*t
+        # one power table at w = 2, one per transform for the rest: both
+        # must give the empirical transform at t and at w*t, and a large
+        # whole-number w must not walk a power table up to w*G
         cfg = GofConfig(n=n, w=w)
         rng = np.random.default_rng(14)
         rows = rng.exponential(1.0, (3, 90))
@@ -146,8 +147,8 @@ class TestBootstrapTest:
         np.testing.assert_array_equal(a.replicates, b.replicates)
 
     def test_replicate_stream_is_named_by_index(self):
-        # replicate b owns counter block [(b-1)k, bk), k = ceil(N/4), of the
-        # Philox stream keyed by the seed; recompute replicate 5 by hand
+        # replicate b is the first N of 4k uniforms from Philox(key=seed,
+        # counter=(b-1)k), k = ceil(N/4); recompute replicate 5 by hand
         rng = np.random.default_rng(6)
         x = rng.exponential(1.0, 80)
         cfg = GofConfig(bootstrap_reps=99, seed=7)
