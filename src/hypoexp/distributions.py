@@ -17,6 +17,7 @@ from scipy import special as sp_special
 
 from ._util import as_values
 from .errors import ConvergenceError, DomainError, ParameterError
+from .special import log_poisson_weight, partial_exp_sum
 
 # Rate pairs closer than this relative gap are rejected by Hypoexponential:
 # the partial-fraction weights cancel catastrophically there.  Equal-rate
@@ -322,122 +323,199 @@ class EME:
         return Sample(values, label if label is not None else repr(self))
 
 
-def _exp_tail_series(n, u):
+def _exp_tail_series(n, u, derivative=False):
     """sum_{j>=0} u^j * n! / (n+j)! = 1F1(1; n+1; u); stable for |u| <= n + 1.
 
-    At |u| = n + 1 the terms fall like exp(-j^2 / 2n), so about 9.2 sqrt(n)
-    of them reach the 1e-18 cutoff; the cap leaves room above that."""
+    With ``derivative`` also returns the u-derivative
+    sum_{j>=1} j u^(j-1) n! / (n+j)!, summed alongside (no division by u).
+    On |u| <= n + 1 the sum is at least e^-1 and the derivative at least
+    e^-2 / (n+1) (Jensen's inequality on the Beta(1, n) mixture), so the loop
+    stops once the largest term, at max |u|, falls below 1e-18 of those.  At
+    |u| = n + 1 the terms fall like exp(-j^2 / 2n), so about 9.4 sqrt(n)
+    of them are needed; the cap leaves room above that."""
+    u_max = float(np.abs(u).max()) if u.size else 0.0
+    limit = 1e-19 / (n + 1) if derivative else 1e-19
     term = np.ones_like(u)
     acc = np.ones_like(u)
+    dacc = np.zeros_like(u)
+    bound = 1.0
     for j in range(1, math.ceil(10.0 * math.sqrt(n)) + 600):
-        term = term * u / (n + j)
-        acc = acc + term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+        if derivative:
+            dacc += (j / (n + j)) * term
+        term *= u
+        term *= 1.0 / (n + j)
+        acc += term
+        bound *= u_max / (n + j)
+        if bound <= limit:
             break
     else:
         raise ConvergenceError(
-            f"EME series for n={n} did not converge in {j} terms "
-            f"(max |u| = {np.abs(u).max():.6g})"
+            f"EME series for n={n} did not converge in {j} terms (max |u| = {u_max:.6g})"
         )
-    return acc
+    return (acc, dacc) if derivative else acc
 
 
-def _exp_partial_sum(n, u):
-    """sum_{k=0}^{n-1} u^k / k! via incremental terms."""
-    term = np.ones_like(u)
-    acc = np.ones_like(u)
-    for k in range(1, n):
-        term = term * u / k
-        acc = acc + term
-    return acc
-
-
-def _eme_logpdf(n, rate, w, x):
+def _eme_logpdf(n, rate, w, x, score=False):
     """log density of EME(n, rate, w) at nonnegative x.
 
-    With u = rate*x*(w-1)/w the density factors as
+    With lx = rate*x, u = (w-1)/w * lx and pois(k, a) = a^k e^{-a} / k!,
+    the density factors as
 
-        f(x) = (rate/w) e^{-rate x} (rate x)^n / n! * sum_{j>=0} u^j n!/(n+j)!
+        f(x) = (rate/w) pois(n, lx) S(u),
+        S(u) = 1F1(1; n+1; u) = sum_{j>=0} u^j n!/(n+j)!
 
     (series branch, used for |u| <= n+1: cancellation-free, exact at w = 1),
     and as
 
-        f(x) = (rate/w) [v^n e^{-rate x / w} - v^n e^{-rate x} p(u)],
-        v = w/(w-1),  p(u) = sum_{k<n} u^k/k!
+        f(x) = (rate/w) v^n e^{-lx/w} [1 - Q(n, u)],   v = w/(w-1)
 
-    (partial-fraction branch for |u| > n+1, assembled in log space: there the
-    two terms no longer cancel catastrophically and v is finite).
+    (direct branch for |u| > n+1, where v is finite).  There
+    Q(n, u) = pois(n-1, u) B, with B the overflow-free
+    ``special.partial_exp_sum`` summed from its k = n-1 term.  For u > n+1,
+    Q lies in (0, 1/2] and the bracket is 1 - Q.  For u < -(n+1), |Q| > 1
+    and 1 - Q = -Q (1 - 1/Q), whose large factors combine with
+    v^n e^{-lx/w} into |v| pois(n-1, lx) B (1 - 1/Q).  log pois is taken
+    from ``special.log_poisson_weight``, which does not cancel at large n.
+
+    With ``score`` the derivatives of the log density in (log rate, log w)
+    are returned too, from the identity u S' = n (1 - S) + u S:
+
+        d/dlog rate = 1 - lx/w + n/S
+        d/dlog w    = -1 + (lx/w) S'/S  =  -1 + (n/S - n + u) / (w - 1)
+
+    The first w form serves the series branch, where S' is summed with S and
+    w may be 1; the second the direct branch, where |u| > n+1 keeps w away
+    from 1 relative to the point.
     """
-    out = np.full(x.shape, -np.inf)
+    shape = x.shape
+    x = x.ravel()
+    out = np.empty_like(x)
     lx = rate * x
     u = (w - 1.0) / w * lx
+    abs_u = np.abs(u)
+    if np.all(x[1:] >= x[:-1]):
+        # ascending points (as fitting passes them): |u| ascends too, so the
+        # series branch is a prefix and both branches are slices
+        cut = int(np.searchsorted(abs_u, n + 1.0, side="right"))
+        series, direct = slice(0, cut), slice(cut, None)
+    else:
+        inside = abs_u <= n + 1.0
+        series, direct = np.flatnonzero(inside), np.flatnonzero(~inside)
+    log_rw = math.log(rate / w)
+    if score:
+        n_over_s = np.empty_like(x)
+        g_w = np.empty_like(x)
 
-    series = np.abs(u) <= n + 1.0
-    if series.any():
-        s = _exp_tail_series(n, u[series])
-        lxs = lx[series]
-        with np.errstate(divide="ignore"):
-            out[series] = (
-                math.log(rate / w)
-                - lxs
-                + n * np.log(lxs)
-                + np.log(s)
-                - math.lgamma(n + 1)
-            )
+    lxs = lx[series]
+    if lxs.size:
+        if score:
+            s, ds = _exp_tail_series(n, u[series], derivative=True)
+            n_over_s[series] = n / s
+            g_w[series] = -1.0 + lxs / w * ds / s
+        else:
+            s = _exp_tail_series(n, u[series])
+        out[series] = log_rw + log_poisson_weight(n, lxs) + np.log(s)
 
-    direct = ~series
-    if direct.any():
-        ud = u[direct]
+    ud = u[direct]
+    if ud.size:
         lxd = lx[direct]
-        log_abs_vn = n * (math.log(w) - math.log(abs(w - 1.0)))
-        sign_vn = 1.0 if (w > 1.0 or n % 2 == 0) else -1.0
-        p = _exp_partial_sum(n, ud)
-        # p can only overflow when the density has already underflowed to 0
-        overflowed = ~np.isfinite(p)
-        p = np.where(overflowed, 1.0, p)
-        a1 = log_abs_vn - lxd / w
-        with np.errstate(divide="ignore"):
-            a2 = log_abs_vn + np.log(np.abs(p)) - lxd
-        peak = np.maximum(a1, a2)
-        inner = sign_vn * np.exp(a1 - peak) - sign_vn * np.sign(p) * np.exp(a2 - peak)
-        with np.errstate(divide="ignore"):
-            vals = math.log(rate / w) + peak + np.log(np.maximum(inner, 0.0))
-        out[direct] = np.where(overflowed, -np.inf, vals)
-    return out
+        # Q(n, u) = pois(n-1, u) B, with B summed from its k = n-1 term
+        b = partial_exp_sum(n, ud)[1]
+        if w > 1.0:
+            q = np.exp(log_poisson_weight(n - 1, ud)) * b  # in (0, 1/2] for u > n+1
+            out[direct] = (
+                log_rw + n * (math.log(w) - math.log(w - 1.0)) - lxd / w + np.log1p(-q)
+            )
+            if score:
+                nd = ud * q / (b * (1.0 - q))  # n/S = u Q / (B (1 - Q))
+        else:
+            inv_q = (-1.0) ** (n - 1) * np.exp(
+                ud - (n - 1) * np.log(-ud) + math.lgamma(n) - np.log(b)
+            )
+            out[direct] = (
+                log_rw
+                + math.log(w / (1.0 - w))
+                + log_poisson_weight(n - 1, lxd)
+                + np.log(b * (1.0 - inv_q))
+            )
+            if score:
+                nd = ud / (b * (inv_q - 1.0))
+        if score:
+            n_over_s[direct] = nd
+            g_w[direct] = -1.0 + (nd - n + ud) / (w - 1.0)
+
+    if score:
+        return out.reshape(shape), (1.0 - lx / w + n_over_s).reshape(shape), g_w.reshape(shape)
+    return out.reshape(shape)
 
 
 def _eme_cdf(n, rate, w, x):
     """CDF of EME(n, rate, w), by termwise integration of the density.
 
-    Closed partial-fraction form (used while |v|^n stays small, v = w/(w-1)):
+    Closed partial-fraction form, v = w/(w-1):
 
         F(x) = v^n (1 - e^{-rate x / w}) - (1/w) sum_{k=0}^{n-1} v^{n-k} P(k+1, rate x)
 
-    with P the regularized lower incomplete gamma.  Near w = 1 the weights
-    v^{n-k} blow up, so there the integrated series form is used instead:
+    with P the regularized lower incomplete gamma.  Its terms cancel when
+    |v|^n is large (w near 1), so it serves only w > 1 with |v|^n <= 1e4,
+    and w <= 1/2, where the series below diverges.  Otherwise |r| < 1 in the
+    integrated series form
 
-        F(x) = (1/w) sum_{j>=0} r^j P(n+j+1, rate x),   r = (w-1)/w,
+        F(x) = (1/w) sum_{j>=0} r^j P(n+j+1, rate x),   r = (w-1)/w.
 
-    whose terms are bounded by |r|^j with |r| < 1 whenever |v|^n is large.
+    It stops at the first J whose next term at the largest point is bounded
+    below 1e-18 of the partial sum there.  With P(a, x) = P(a+1, x) + pois(a, x),
+    pois(a, x) = x^a e^{-x} / a!, the sum regroups into positive terms,
+
+        w F(x) = R_J P(n+J+1, x) + sum_{j<J} R_j pois(n+j+1, x),
+        R_j = sum_{i<=j} r^i = (1 - r^{j+1}) / (1 - r),
+
+    so ``gammainc`` runs once, at the top order, and the lower orders follow
+    from pois(a, x) = pois(a+1, x) (a+1) / x.
     """
     lx = rate * x
-    if w != 1.0 and n * (math.log(w) - math.log(abs(w - 1.0))) <= math.log(1e4):
+    log_vn = n * (math.log(w) - math.log(abs(w - 1.0))) if w != 1.0 else math.inf
+    if w <= 0.5 or (w > 1.0 and log_vn <= math.log(1e4)):
         v = w / (w - 1.0)
         vals = v**n * (-np.expm1(-lx / w))
         for k in range(n):
             vals -= v ** (n - k) * sp_special.gammainc(k + 1, lx) / w
-    else:
-        r = (w - 1.0) / w
-        vals = np.zeros_like(lx)
-        coeff = 1.0 / w
-        lx_max = lx.max() if lx.size else 0.0
-        for j in range(200_000):
-            tail = sp_special.gammainc(n + j + 1, lx)
-            vals += coeff * tail
-            coeff *= r
-            if abs(coeff) * sp_special.gammainc(n + j + 2, lx_max) < 1e-18:
-                break
-    return np.clip(vals, 0.0, 1.0)
+        return np.clip(vals, 0.0, 1.0)
+    r = (w - 1.0) / w
+    lx_max = float(lx.max()) if lx.size else 0.0
+    if lx_max == 0.0:
+        return np.zeros_like(lx)
+    # Top order from bounds at lx_max: the partial sum is at least
+    # (1 - max(-r, 0)) P(n+1, x), and P(a, x) <= pois(a, x) (a+1)/(a+1-x) for
+    # a + 1 > x, else 1.
+    floor = 1e-18 * (1.0 - max(-r, 0.0)) * sp_special.gammainc(n + 1, lx_max)
+    log_x = math.log(lx_max)
+    log_pois = (n + 1) * log_x - lx_max - math.lgamma(n + 2)
+    coeff = 1.0
+    top = n + 1
+    while True:
+        coeff *= r
+        log_pois += log_x - math.log(top + 1)
+        bound = 1.0
+        if top + 2 > lx_max:
+            bound = min(1.0, math.exp(log_pois) * (top + 2) / (top + 2 - lx_max))
+        if abs(coeff) * bound <= floor:
+            break
+        top += 1
+    shape = lx.shape
+    if lx.size == 1:  # one point, as in root finding: numpy scalars skip the array overhead
+        lx = lx.flat[0]
+    # x = 0 gives pois = 0 at every order >= 1 through a tiny positive lx
+    lx = np.maximum(lx, 1e-300)
+    inv_lx = 1.0 / lx
+    vals = (1.0 - r ** (top - n)) / (1.0 - r) * sp_special.gammainc(top, lx)
+    for a in range(top - 1, n, -1):
+        if (top - a) % 16 == 1:  # exact every 16 orders, so rounding cannot build up
+            pois = np.exp(log_poisson_weight(a, lx))
+        else:
+            pois *= (a + 1) * inv_lx
+        vals += (1.0 - r ** (a - n)) / (1.0 - r) * pois
+    return np.clip(np.reshape(vals, shape) / w, 0.0, 1.0)
 
 
 def moments(dist):

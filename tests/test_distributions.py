@@ -18,7 +18,19 @@ from hypoexp import (
     moments,
     regularized_upper_gamma,
 )
-from hypoexp.distributions import _exp_tail_series
+from hypoexp.distributions import _eme_logpdf, _exp_tail_series
+
+
+def _eme_logpdf_mp(mpmath, n, log_rate, log_w, x):
+    """log density of EME(n, e^log_rate, e^log_w) at x in mpmath, from
+    f = (rate/w) e^{-lx} lx^n / n! 1F1(1; n+1; (w-1)/w lx)."""
+    rate, w = mpmath.exp(log_rate), mpmath.exp(log_w)
+    lx = rate * x
+    u = (w - 1) / w * lx
+    return (
+        mpmath.log(rate / w) - lx + n * mpmath.log(lx) - mpmath.loggamma(n + 1)
+        + mpmath.log(mpmath.hyp1f1(1, n + 1, u))
+    )
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -215,6 +227,61 @@ class TestEME:
         for ui, gi in zip(u, got):
             want = float(mpmath.hyp1f1(1, n + 1, ui))
             assert gi == pytest.approx(want, rel=1e-12)
+
+    def test_direct_branch_large_n_against_mpmath(self):
+        # just past the branch point |u| = n+1 the partial sum of the direct
+        # branch used to overflow from n ~ 510 on and return -inf
+        mpmath = pytest.importorskip("mpmath")
+        assert EME(1000, 1.0, 2.0).logpdf(2004.0) == pytest.approx(-310.18199176976, rel=1e-12)
+        for n in (510, 1000, 20_000):
+            for w in (2.0, 0.5, 0.9):
+                edge = (n + 1) * w / abs(w - 1.0)  # rate x at |u| = n+1
+                lx = np.array([edge * (1 + 1e-9), edge * 1.001, edge * 1.05])
+                got = _eme_logpdf(n, 1.0, w, lx)
+                for xi, gi in zip(lx, got):
+                    with mpmath.workdps(40):
+                        want = float(_eme_logpdf_mp(mpmath, n, 0.0, math.log(w), xi))
+                    assert gi == pytest.approx(want, rel=1e-12), (n, w, xi)
+
+    def test_score_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rate = 1.3
+        for n in (1, 2, 3, 20):
+            for w in (0.25, 1.0 - 1e-6, 1.0, 1.0 + 1e-9, 4.0):
+                x = [0.05, 0.7, (n + 1) / rate, 4.0 * (n + 1) / rate]
+                if w != 1.0:
+                    edge = (n + 1) * w / (abs(w - 1.0) * rate)
+                    x += [edge * (1 - 1e-6), edge * (1 + 1e-6), 2.0 * edge]
+                logf, d_rate, d_w = _eme_logpdf(n, rate, w, np.array(x), score=True)
+                assert np.all(np.isfinite(d_rate)) and np.all(np.isfinite(d_w))
+                for i, xi in enumerate(x):
+                    with mpmath.workdps(40):
+                        a0, b0 = mpmath.log(rate), mpmath.log(w)
+                        want_rate = mpmath.diff(lambda a: _eme_logpdf_mp(mpmath, n, a, b0, xi), a0)
+                        want_w = mpmath.diff(lambda b: _eme_logpdf_mp(mpmath, n, a0, b, xi), b0)
+                    for got, want in ((d_rate[i], want_rate), (d_w[i], want_w)):
+                        want = float(want)
+                        assert abs(got - want) <= 1e-8 * max(abs(want), 1.0), (n, w, xi)
+
+    @pytest.mark.parametrize("n, w", [(20, 0.8), (40, 0.55)])
+    def test_cdf_series_branch_against_mpmath(self, n, w):
+        # F(x) = P(n, lx) - v^n e^{-lx/w} (1 - e^{-u} sum_{k<n} u^k/k!), in
+        # enough digits to absorb its cancellation in the left tail
+        mpmath = pytest.importorskip("mpmath")
+        d = EME(n, 1.0, w)
+        x = np.array([1e-3, 0.05, 0.5, 2.0, 0.3 * d.mean, 0.7 * d.mean, d.mean,
+                      1.5 * d.mean, 3.0 * d.mean])
+        got = d.cdf(x)
+        for xi, gi in zip(x, got):
+            with mpmath.workdps(300):
+                lx, wm = mpmath.mpf(xi), mpmath.mpf(w)
+                u = (wm - 1) / wm * lx
+                poly = mpmath.fsum(u**k / mpmath.factorial(k) for k in range(n))
+                want = mpmath.gammainc(n, 0, lx, regularized=True) - (wm / (wm - 1)) ** n * (
+                    mpmath.exp(-lx / wm) * (1 - mpmath.exp(-u) * poly)
+                )
+            assert gi == pytest.approx(float(want), rel=1e-12), xi
+            assert d.cdf(float(xi)) == pytest.approx(float(want), rel=1e-12), xi
 
     def test_tail_series_raises_when_unconverged(self):
         # far outside its branch (|u| >> n+1) the terms grow past the cap

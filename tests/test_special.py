@@ -85,3 +85,43 @@ def test_parameter_validation():
         regularized_upper_gamma(2, math.inf)
     with pytest.raises(ParameterError):
         regularized_upper_gamma(2.5, 1.0)
+
+
+def test_accepts_arrays_like_scalars():
+    t = np.array([-30.0, -3.0, 0.0, 0.3, 5.0, 40.0, 650.0])
+    for n in (1, 4, 60):
+        got = regularized_upper_gamma(n, t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        want = [regularized_upper_gamma(n, float(ti)) for ti in t]
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+
+def test_partial_sum_tracks_sign_past_overflow():
+    # sum_{k<n} t^k/k! = t^k*/k*! * B overflows for t << 0; B and k* do not
+    from hypoexp.special import partial_exp_sum
+
+    for n in (2, 3, 7, 40):
+        t = np.array([-800.0, -1e4, -30.0, 12.5])
+        pivot, total = partial_exp_sum(n, t)
+        pivot = np.broadcast_to(pivot, t.shape)
+        for ti, k, b in zip(t, pivot, total):
+            exact = exact_partial_sum(n, ti)
+            assert math.copysign(1.0, ti) ** int(k) * math.copysign(1.0, b) == (
+                1.0 if exact > 0 else -1.0
+            )
+            got = int(k) * math.log(abs(ti)) - math.lgamma(int(k) + 1) + math.log(abs(b))
+            want = math.log(abs(exact))
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 5, 20, 127, 128, 20_000])
+def test_log_poisson_weight_against_mpmath(k):
+    mpmath = pytest.importorskip("mpmath")
+    from hypoexp.special import log_poisson_weight
+
+    lam = np.array([1e-3, 0.5 * k, 0.9 * k, float(k), k + 1.0, 1.9 * k, 10.0 * k + 5])
+    got = log_poisson_weight(k, lam)
+    for li, gi in zip(lam, got):
+        with mpmath.workdps(40):
+            want = float(k * mpmath.log(li) - li - mpmath.loggamma(k + 1))
+        assert abs(gi - want) <= 1e-13 * max(abs(want), 1.0), (k, li)
