@@ -5,13 +5,23 @@ cancel to zero; plain float64 leaves ~1e-7 of rounding noise there, far above
 the certified tolerances.  A double-double carries the extra ~16 digits needed
 while staying ordinary fixed-precision floating point.
 
-The error-free primitives are the classic Dekker/Knuth constructions; the
-composite +,-,*,/ follow the usual double-double recipes.
+The error-free primitives are the classic Dekker/Knuth constructions
+(Dekker 1971, "A floating-point technique for extending the available
+precision"); the composite +,-,*,/ follow the usual double-double recipes.
+
+Both components may be float64 arrays of one shape, so one ``DD`` carries a
+whole grid of values.  The primitives are written with plain ``+ - *``, which
+numpy evaluates elementwise in IEEE double precision without fusing, so every
+element of an array result is bit-identical to the scalar computation on that
+element; scalar and array operands mix freely.  Comparisons, ``hash`` and
+``float`` stay scalar-only.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, splits a 53-bit significand in half
 
@@ -40,24 +50,32 @@ def _two_prod(a: float, b: float):
     return p, err
 
 
+def _component(x):
+    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+
+
 class DD:
-    """An unevaluated sum ``hi + lo`` of two non-overlapping floats."""
+    """An unevaluated sum ``hi + lo`` of two non-overlapping floats, or,
+    elementwise, of two float64 arrays."""
 
     __slots__ = ("hi", "lo")
+    # keeps ``ndarray + DD`` from broadcasting the DD as an object scalar:
+    # numpy returns NotImplemented and Python calls the reflected operator
+    __array_ufunc__ = None
 
     def __init__(self, hi=0.0, lo=0.0):
         if isinstance(hi, DD):
             self.hi, self.lo = hi.hi, hi.lo
             return
-        self.hi = float(hi)
-        self.lo = float(lo)
+        self.hi = _component(hi)
+        self.lo = _component(lo)
 
     @staticmethod
     def _coerce(x) -> "DD":
         if isinstance(x, DD):
             return x
-        if isinstance(x, (int, float)):
-            return DD(float(x))
+        if isinstance(x, (int, float, np.ndarray)):
+            return DD(x)
         return NotImplemented
 
     def __add__(self, other):
@@ -66,10 +84,8 @@ class DD:
             return NotImplemented
         s1, s2 = _two_sum(self.hi, other.hi)
         t1, t2 = _two_sum(self.lo, other.lo)
-        s2 += t1
-        s1, s2 = _quick_two_sum(s1, s2)
-        s2 += t2
-        hi, lo = _quick_two_sum(s1, s2)
+        s1, s2 = _quick_two_sum(s1, s2 + t1)
+        hi, lo = _quick_two_sum(s1, s2 + t2)
         return DD(hi, lo)
 
     __radd__ = __add__
@@ -94,8 +110,7 @@ class DD:
         if other is NotImplemented:
             return NotImplemented
         p1, p2 = _two_prod(self.hi, other.hi)
-        p2 += self.hi * other.lo + self.lo * other.hi
-        hi, lo = _quick_two_sum(p1, p2)
+        hi, lo = _quick_two_sum(p1, p2 + (self.hi * other.lo + self.lo * other.hi))
         return DD(hi, lo)
 
     __rmul__ = __mul__
@@ -132,6 +147,9 @@ class DD:
         return result
 
     def __abs__(self):
+        if isinstance(self.hi, np.ndarray) or isinstance(self.lo, np.ndarray):
+            negative = (self.hi < 0.0) | ((self.hi == 0.0) & (self.lo < 0.0))
+            return DD(np.where(negative, -self.hi, self.hi), np.where(negative, -self.lo, self.lo))
         return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
 
     def __float__(self):

@@ -1,10 +1,10 @@
-"""Small shared helpers: seeding, data coercion."""
+"""Small shared helpers: seeding, argument validation, data coercion."""
 
 from zlib import crc32
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParameterError
 
 # Every CLI subcommand that consumes randomness falls back to this seed so
 # runs are reproducible out of the box.
@@ -25,6 +25,14 @@ def derive_rng(seed, *scope):
         else:
             entropy.append(crc32(str(part).encode("utf-8")))
     return np.random.default_rng(entropy)
+
+
+def check_positive_int(value, name):
+    """``value`` as an int; ParameterError unless it is a positive integer
+    (bools are rejected, numpy integers accepted)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def as_values(data, require_positive=False, what="data"):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_values
-from .distributions import Sample, _check_count, _check_rate, _std_exp
+from ._util import as_values, check_positive_int
+from .distributions import Sample, _check_rate, _std_exp
 from .errors import ParameterError
 
 # Asymptotic 1% Kolmogorov-Smirnov critical constant: pass below 1.63/sqrt(N).
@@ -53,14 +53,14 @@ def eme_chain(k, rate_main, rate_last):
     When ``rate_last = rate_main / w`` the absorption time is distributed as
     EME(n=k, rate=rate_main, w).
     """
-    k = _check_count(k, "k")
+    k = check_positive_int(k, "k")
     return StageChain(rates=(_check_rate(rate_main),) * k + (_check_rate(rate_last),))
 
 
 def simulate_absorption(chain, count, rng, label=None):
     """Absorption times: per draw, the sum of one exponential holding time per
     stage (inverse-CDF sampling; deterministic given the generator state)."""
-    count = _check_count(count, "count")
+    count = check_positive_int(count, "count")
     rates = np.asarray(chain.rates)
     times = (_std_exp(rng, (count, rates.size)) / rates).sum(axis=1)
     return Sample(times, label if label is not None else f"absorption{chain.rates}")

@@ -205,6 +205,8 @@ def _cmd_gof(args):
 
 
 def _cmd_verify(args):
+    if args.max_n < 1:
+        raise _UsageError(f"--max-n must be at least 1, got {args.max_n}")
     if args.sweep == "quick":
         report = run_identity_checks(
             exact_max_n=min(args.max_n, 10),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sp_special
 
-from ._util import as_values
+from ._util import as_values, check_positive_int
 from .errors import ConvergenceError, DomainError, ParameterError
 from .special import log_poisson_weight, partial_exp_sum
 
@@ -37,12 +37,6 @@ def _check_rate(value, name="rate"):
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
     return value
-
-
-def _check_count(n, name="n"):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def _as_points(x, name="x"):
@@ -113,7 +107,7 @@ class Exponential:
         return _ret(self.rate / (self.rate + t), scalar)
 
     def sample(self, count, rng, label=None):
-        count = _check_count(count, "count")
+        count = check_positive_int(count, "count")
         values = _std_exp(rng, count) / self.rate
         return Sample(values, label if label is not None else repr(self))
 
@@ -126,7 +120,7 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_count(self.n))
+        object.__setattr__(self, "n", check_positive_int(self.n, "n"))
         object.__setattr__(self, "rate", _check_rate(self.rate))
 
     @property
@@ -160,7 +154,7 @@ class Erlang:
         return _ret((self.rate / (self.rate + t)) ** self.n, scalar)
 
     def sample(self, count, rng, label=None):
-        count = _check_count(count, "count")
+        count = check_positive_int(count, "count")
         values = _std_exp(rng, (count, self.n)).sum(axis=1) / self.rate
         return Sample(values, label if label is not None else repr(self))
 
@@ -246,7 +240,7 @@ class Hypoexponential:
         return _ret((lam / (lam + t[:, None])).prod(axis=1), scalar)
 
     def sample(self, count, rng, label=None):
-        count = _check_count(count, "count")
+        count = check_positive_int(count, "count")
         lam = np.asarray(self.rates)
         values = (_std_exp(rng, (count, lam.size)) / lam).sum(axis=1)
         return Sample(values, label if label is not None else repr(self))
@@ -273,7 +267,7 @@ class EME:
     w: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_count(self.n))
+        object.__setattr__(self, "n", check_positive_int(self.n, "n"))
         object.__setattr__(self, "rate", _check_rate(self.rate))
         object.__setattr__(self, "w", _check_rate(self.w, "w"))
 
@@ -317,7 +311,7 @@ class EME:
         return _ret(vals, scalar)
 
     def sample(self, count, rng, label=None):
-        count = _check_count(count, "count")
+        count = check_positive_int(count, "count")
         draws = _std_exp(rng, (count, self.n + 1))
         values = (draws[:, : self.n].sum(axis=1) + self.w * draws[:, self.n]) / self.rate
         return Sample(values, label if label is not None else repr(self))

@@ -16,8 +16,8 @@ import math
 import numpy as np
 from scipy import optimize
 
-from ._util import as_values
-from .distributions import EME, _check_count, _eme_logpdf
+from ._util import as_values, check_positive_int
+from .distributions import EME, _eme_logpdf
 from .errors import ConvergenceError, DataError
 
 MAX_ITERATIONS = 500
@@ -152,9 +152,9 @@ def fit_eme(data, n=None, max_n=5):
     if np.ptp(x) == 0.0:
         raise DataError("data are degenerate: all values identical")
     if n is not None:
-        return _fit_fixed_n(x, _check_count(n))
+        return _fit_fixed_n(x, check_positive_int(n, "n"))
     best = None
-    for cand in range(1, _check_count(max_n, "max_n") + 1):
+    for cand in range(1, check_positive_int(max_n, "max_n") + 1):
         dist, ll = _fit_fixed_n(x, cand)
         if best is None or ll > best[1]:
             best = (dist, ll)

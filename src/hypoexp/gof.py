@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_SEED, as_values
+from ._util import DEFAULT_SEED, as_values, check_positive_int
 from .errors import DataError, ParameterError
 
 METHOD_NOTE = (
@@ -57,12 +57,10 @@ class GofConfig:
     t_max: float = 10.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", check_positive_int(self.n, "n"))
         if not (self.w > 0.0 and self.w != 1.0 and math.isfinite(self.w)):
             raise ParameterError(f"w must be positive and != 1, got {self.w!r}")
-        if not isinstance(self.grid_points, int) or self.grid_points < 1:
-            raise ParameterError(f"grid_points must be >= 1, got {self.grid_points!r}")
+        object.__setattr__(self, "grid_points", check_positive_int(self.grid_points, "grid_points"))
         if not (self.grid_decay > 0.0):
             raise ParameterError(f"grid_decay must be positive, got {self.grid_decay!r}")
         if not isinstance(self.bootstrap_reps, int) or self.bootstrap_reps < 99:

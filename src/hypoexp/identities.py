@@ -1,11 +1,19 @@
 """Verification of the transform and summation identities behind the
 exponential characterization.
 
-Combinatorial identities are certified in exact rational arithmetic
-(``fractions.Fraction``): a "zero" here is the integer zero and a "nonzero"
-claim is certified, not approximated.  Transform-level identities are checked
-in compensated double-double floating point (:class:`DD`), whose ~32 digits
-keep the residuals meaningful even where the geometric terms reach 1e10.
+Combinatorial identities are certified in exact arithmetic: a "zero" here is
+the integer zero and a "nonzero" claim is certified, not approximated.  The
+denominators of v = p/q (and of v - 1 = d/q, d = p - q) are cleared once, so
+each check compares Python integers; the termwise sums over k < n follow
+recurrences such as lhs_{n+1} = q lhs_n + c_n p^n, and one pass over
+n = 1..max_n yields the exact numerator at every n.  The public functions
+return the same ``Fraction`` values as a direct rational evaluation.
+
+Transform-level identities are checked in compensated double-double floating
+point (:class:`DD`), whose ~32 digits keep the residuals meaningful even where
+the geometric terms reach 1e10.  A ``DD`` may hold float64 arrays, so a whole
+t-grid is evaluated at once, bit-identical to the scalar calls, and one
+power/geometric recurrence gives the residual at every n.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._ddouble import DD
+from ._util import check_positive_int
 from .errors import ParameterError
 
 __all__ = [
@@ -48,15 +57,56 @@ def _as_fraction(v, name="v"):
     raise ParameterError(f"{name} must be rational (Fraction, int, str), got {type(v)}")
 
 
-def _check_positive_int(value, name):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+def _check_nonnegative_int(value, name):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def _numerator_denominator(v, exclude_zero):
+    """(p, q) with v = p/q in lowest terms, q > 0, after the v = 1 (and
+    optionally v = 0) exclusions."""
+    v = _as_fraction(v)
+    if v == 1 or (exclude_zero and v == 0):
+        raise ParameterError("v in {0, 1} is excluded" if exclude_zero else "v = 1 is excluded")
+    return v.numerator, v.denominator
 
 
 # ---------------------------------------------------------------------------
 # exact combinatorial identities
 # ---------------------------------------------------------------------------
+
+def _binomial_sides(max_n, m, j, p, q):
+    """Both sides of the shifted binomial identity at v = p/q, each times q^n,
+    for n = 1..max_n in one pass:
+
+        lhs_n = sum_{k<n} (C(k+m, j-1) p + C(k+m, j)(p-q)) p^k q^{n-1-k},
+        rhs_n = C(n+m, j) p^n - C(m, j) q^n.
+
+    With c_k the bracketed coefficient, the termwise sum follows
+    lhs_{n+1} = q lhs_n + c_n p^n, so every n costs a few integer operations
+    instead of a fresh n-term sum.
+    """
+    d = p - q
+    boundary = math.comb(m, j)
+    lhs, pn, qn = 0, 1, 1
+    c_j = boundary  # C(k+m, j)
+    sides = []
+    for k in range(max_n):
+        next_c_j = math.comb(k + 1 + m, j)
+        lhs = q * lhs + (math.comb(k + m, j - 1) * p + c_j * d) * pn
+        pn *= p
+        qn *= q
+        sides.append((lhs, next_c_j * pn - boundary * qn))
+        c_j = next_c_j
+    return sides
+
+
+def _binomial_residual(n, m, j, v):
+    p, q = _numerator_denominator(v, exclude_zero=False)
+    lhs, rhs = _binomial_sides(n, m, j, p, q)[-1]
+    return Fraction(lhs - rhs, q**n)
+
 
 def binomial_sum_residual(n, j, v):
     """Exact residual of the binomial-geometric summation identity
@@ -64,26 +114,12 @@ def binomial_sum_residual(n, j, v):
         v sum_{k<n} C(k, j-1) v^k + (v-1) sum_{k<n} C(k, j) v^k = C(n, j) v^n
 
     for integers n >= 1, j >= 1 and rational v != 1.  Returns a Fraction;
-    the identity holds, so the result is the exact rational zero.
+    the identity holds, so the result is the exact rational zero.  This is
+    the m = 0 case of :func:`shifted_binomial_sum_residual`.
     """
-    n = _check_positive_int(n, "n")
-    j = _check_positive_int(j, "j")
-    v = _as_fraction(v)
-    if v == 1:
-        raise ParameterError("v = 1 is excluded")
-    p, q = v.numerator, v.denominator
-    # clear denominators: residual * q^n is an integer
-    acc = 0
-    pk = 1  # p^k
-    qk = q ** (n - 1)  # q^(n-1-k)
-    for k in range(n):
-        acc += math.comb(k, j - 1) * p * pk * qk
-        acc += math.comb(k, j) * (p - q) * pk * qk
-        pk *= p
-        if k < n - 1:
-            qk //= q
-    acc -= math.comb(n, j) * p**n
-    return Fraction(acc, q**n)
+    n = check_positive_int(n, "n")
+    j = check_positive_int(j, "j")
+    return _binomial_residual(n, 0, j, v)
 
 
 def shifted_binomial_sum_residual(n, m, j, v):
@@ -96,27 +132,49 @@ def shifted_binomial_sum_residual(n, m, j, v):
     it vanishes when j > m, which is why the unshifted identity has no such
     term.  Returns the exact rational zero for all n >= 1, m >= 0, j >= 1.
     """
-    n = _check_positive_int(n, "n")
-    j = _check_positive_int(j, "j")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ParameterError(f"m must be a nonnegative integer, got {m!r}")
-    m = int(m)
-    v = _as_fraction(v)
-    if v == 1:
-        raise ParameterError("v = 1 is excluded")
-    p, q = v.numerator, v.denominator
-    acc = 0
+    n = check_positive_int(n, "n")
+    j = check_positive_int(j, "j")
+    return _binomial_residual(n, _check_nonnegative_int(m, "m"), j, v)
+
+
+def _geometric_sums(max_n, p, q):
+    """Termwise G_n = sum_{k<n} p^k q^{n-1-k} and W_n = sum_{k<n} k p^k q^{n-1-k}
+    (q^{n-1} times sum v^k and sum k v^k at v = p/q) for n = 1..max_n, in one
+    pass: G_{n+1} = q G_n + p^n, W_{n+1} = q W_n + n p^n."""
+    g = w = 0
     pk = 1
-    qk = q ** (n - 1)
-    for k in range(n):
-        acc += math.comb(k + m, j - 1) * p * pk * qk
-        acc += math.comb(k + m, j) * (p - q) * pk * qk
+    sums = []
+    for k in range(max_n):
+        g = q * g + pk
+        w = q * w + k * pk
         pk *= p
-        if k < n - 1:
-            qk //= q
-    acc -= math.comb(n + m, j) * p**n
-    acc += math.comb(m, j) * q**n
-    return Fraction(acc, q**n)
+        sums.append((g, w))
+    return sums
+
+
+def _gap_numerator(n, j, p, q, g, w):
+    """d^{j-1} q^n times the gap at v = p/q, d = p - q, from the termwise
+    sums g = G_n and w = W_n: p^j G_n + d^{j-1}(d W_n - n p^n)."""
+    d = p - q
+    return p**j * g + d ** (j - 1) * (d * w - n * p**n)
+
+
+def _closed_form_numerator(n, j, p, q):
+    """d^j q^n times the gap's closed form: (p^j - p d^{j-1})(p^n - q^n)."""
+    d = p - q
+    return (p**j - p * d ** (j - 1)) * (p**n - q**n)
+
+
+def _gap_vanishes(n, j, p, q):
+    return p**n == q**n or p ** (j - 1) == (p - q) ** (j - 1)
+
+
+def _check_gap_args(n, j, v):
+    n = check_positive_int(n, "n")
+    j = check_positive_int(j, "j")
+    if j < 2:
+        raise ParameterError(f"j must be >= 2, got {j}")
+    return n, j, _numerator_denominator(v, exclude_zero=True)
 
 
 def geometric_weight_gap(n, j, v):
@@ -124,39 +182,20 @@ def geometric_weight_gap(n, j, v):
 
         (v/(v-1))^{j-1} v sum_{k<n} v^k + (v-1) sum_{k<n} k v^k - n v^n
 
-    computed termwise (brute force) for n >= 1, j >= 2, rational v not in
-    {0, 1}.  Equals :func:`geometric_weight_gap_closed_form`, which is nonzero
-    except on the boundary cases flagged by :func:`gap_vanishes`.
+    computed from the termwise sums (brute force) for n >= 1, j >= 2,
+    rational v not in {0, 1}.  Equals :func:`geometric_weight_gap_closed_form`,
+    which is nonzero except on the boundary cases flagged by
+    :func:`gap_vanishes`.
     """
-    n = _check_positive_int(n, "n")
-    j = _check_positive_int(j, "j")
-    if j < 2:
-        raise ParameterError(f"j must be >= 2, got {j}")
-    v = _as_fraction(v)
-    if v == 0 or v == 1:
-        raise ParameterError("v in {0, 1} is excluded")
-    geo = Fraction(0)
-    weighted = Fraction(0)
-    vk = Fraction(1)
-    for k in range(n):
-        geo += vk
-        weighted += k * vk
-        vk *= v
-    # vk is now v^n
-    return (v / (v - 1)) ** (j - 1) * v * geo + (v - 1) * weighted - n * vk
+    n, j, (p, q) = _check_gap_args(n, j, v)
+    gap = _gap_numerator(n, j, p, q, *_geometric_sums(n, p, q)[-1])
+    return Fraction(gap, (p - q) ** (j - 1) * q**n)
 
 
 def geometric_weight_gap_closed_form(n, j, v):
     """[(v/(v-1))^j - v/(v-1)] (v^n - 1), the resolved form of the gap."""
-    n = _check_positive_int(n, "n")
-    j = _check_positive_int(j, "j")
-    if j < 2:
-        raise ParameterError(f"j must be >= 2, got {j}")
-    v = _as_fraction(v)
-    if v == 0 or v == 1:
-        raise ParameterError("v in {0, 1} is excluded")
-    s = v / (v - 1)
-    return (s**j - s) * (v**n - 1)
+    n, j, (p, q) = _check_gap_args(n, j, v)
+    return Fraction(_closed_form_numerator(n, j, p, q), (p - q) ** j * q**n)
 
 
 def gap_vanishes(n, j, v):
@@ -167,12 +206,10 @@ def gap_vanishes(n, j, v):
     These boundary cases are recorded rather than asserted nonzero; neither
     arises from v = w/(w-1) with w > 0.
     """
-    n = _check_positive_int(n, "n")
-    j = _check_positive_int(j, "j")
-    v = _as_fraction(v)
-    if v == 0 or v == 1:
-        raise ParameterError("v in {0, 1} is excluded")
-    return v**n == 1 or (v / (v - 1)) ** (j - 1) == 1
+    n = check_positive_int(n, "n")
+    j = check_positive_int(j, "j")
+    p, q = _numerator_denominator(v, exclude_zero=True)
+    return _gap_vanishes(n, j, p, q)
 
 
 @dataclass(frozen=True)
@@ -198,8 +235,8 @@ def series_coefficient_brackets(n, j, v):
     (aj_bracket != 0 whenever ``gap_vanishes`` is false), which is what pins
     the reciprocal-transform series coefficients a_j, j >= 2, to zero.
     """
-    n = _check_positive_int(n, "n")
-    j = _check_positive_int(j, "j")
+    n = check_positive_int(n, "n")
+    j = check_positive_int(j, "j")
     if n < 2 or j < 2:
         raise ParameterError(f"brackets need n >= 2 and j >= 2, got n={n}, j={j}")
     v = _as_fraction(v)
@@ -221,11 +258,51 @@ def _check_w(w):
     return w
 
 
+def _check_rate(rate):
+    rate = float(rate)
+    if not math.isfinite(rate) or rate <= 0.0:
+        raise ParameterError(f"rate must be positive, got {rate!r}")
+    return rate
+
+
 def _check_nonneg(t, name="t"):
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
+    """A float, or a float64 array when ``t`` is an ndarray, every entry
+    finite and nonnegative."""
+    if isinstance(t, np.ndarray):
+        t = np.asarray(t, dtype=float)
+        ok = bool(np.all(np.isfinite(t) & (t >= 0.0)))
+    else:
+        t = float(t)
+        ok = math.isfinite(t) and t >= 0.0
+    if not ok:
         raise ParameterError(f"{name} must be a finite nonnegative real, got {t!r}")
     return t
+
+
+def _magnitude(x):
+    """|x| of a residual: a float, or a float64 array for array components."""
+    if isinstance(x, DD):
+        x = x.hi + x.lo
+    return np.abs(x) if isinstance(x, np.ndarray) else abs(float(x))
+
+
+def _lt_identity_residuals(max_n, w, rate, t, min_n=1):
+    """Residuals of the product identity for n = min_n..max_n, from one
+    power/geometric recurrence in Phi2."""
+    wd = DD(w)
+    td = DD(t)
+    lam = DD(rate)
+    phi1 = (wd - 1.0) * (lam / (lam + wd * td))
+    phi2 = ((wd - 1.0) / wd) * (lam / (lam + td))
+    power = DD(1.0)
+    geo = DD(0.0)
+    residuals = []
+    for n in range(1, max_n + 1):
+        power = power * phi2
+        geo = geo + power
+        if n >= min_n:
+            residuals.append(_magnitude(phi1 * power - phi1 + geo))
+    return residuals
 
 
 def exp_lt_identity_residual(n, w, rate, t):
@@ -237,40 +314,51 @@ def exp_lt_identity_residual(n, w, rate, t):
     The identity Phi1 Phi2^n = Phi1 - sum Phi2^k holds exactly for the
     exponential transform; the returned residual is pure rounding noise
     (double-double evaluation keeps it far below 1e-12 for n <= 10 and
-    w in [0.1, 10]).
+    w in [0.1, 10]).  An array ``t`` gives an array of residuals, each
+    bit-identical to the scalar call at that point.
     """
-    n = _check_positive_int(n, "n")
-    w = _check_w(w)
-    rate = float(rate)
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise ParameterError(f"rate must be positive, got {rate!r}")
-    t = _check_nonneg(t)
-
-    wd = DD(w)
-    td = DD(t)
-    lam = DD(rate)
-    phi1 = (wd - 1.0) * (lam / (lam + wd * td))
-    phi2 = ((wd - 1.0) / wd) * (lam / (lam + td))
-    power = DD(1.0)
-    geo = DD(0.0)
-    for _ in range(n):
-        power = power * phi2
-        geo = geo + power
-    residual = phi1 * power - phi1 + geo
-    return abs(float(residual))
+    n = check_positive_int(n, "n")
+    return _lt_identity_residuals(n, _check_w(w), _check_rate(rate), _check_nonneg(t), n)[0]
 
 
 def partial_fraction_residual(w, t):
     """|(w-1)/((1+wt)(1+t)) - w/(1+wt) + 1/(1+t)|, the two-factor linear
     fraction split that seeds the transform identity.  Exact algebraically;
-    the return value is rounding noise below 1e-14 on any sane (w, t)."""
+    the return value is rounding noise below 1e-14 on any sane (w, t).
+    An array ``t`` gives an array of residuals."""
     w = _check_w(w)
     t = _check_nonneg(t)
     wd = DD(w)
     td = DD(t)
     lhs = (wd - 1.0) / ((1.0 + wd * td) * (1.0 + td))
     rhs = wd / (1.0 + wd * td) - 1.0 / (1.0 + td)
-    return abs(float(lhs - rhs))
+    return _magnitude(lhs - rhs)
+
+
+def _functional_equation_residuals(max_n, w, psi, t, min_n=1):
+    """Residuals of the functional equation for n = min_n..max_n, from one
+    recurrence in v^k Psi^k(t)."""
+    if isinstance(t, DD):
+        wd = DD(w)
+        one = DD(1.0)
+    else:
+        wd = w
+        one = 1.0
+    v = wd / (wd - 1.0)
+    psi_t = psi(t)
+    tail = (v - one) * psi(wd * t)
+    vp = one
+    psip = one
+    acc = one  # k = 0 term of sum v^k Psi^k
+    residuals = []
+    for n in range(1, max_n + 1):
+        if n > 1:
+            vp = vp * v
+            psip = psip * psi_t
+            acc = acc + vp * psip
+        if n >= min_n:
+            residuals.append(_magnitude(one - vp * v * psip * psi_t + tail * acc))
+    return residuals
 
 
 def functional_equation_residual(n, w, psi, t):
@@ -279,33 +367,16 @@ def functional_equation_residual(n, w, psi, t):
 
     ``psi`` is called with the same numeric type as ``t``; pass a ``DD`` for
     full double-double precision (any evaluator built from +,-,*,/ and integer
-    powers works transparently).  Psi(t) = 1 + t/rate, the reciprocal of the
-    exponential transform, satisfies the equation identically; any other Psi
-    with Psi(0) = 1 violates it at some t.
+    powers works transparently).  ``t`` may also be an array, or a ``DD``
+    with array components; the residuals are then an array.  Psi(t) =
+    1 + t/rate, the reciprocal of the exponential transform, satisfies the
+    equation identically; any other Psi with Psi(0) = 1 violates it at some t.
     """
-    n = _check_positive_int(n, "n")
+    n = check_positive_int(n, "n")
     w = _check_w(w)
-    use_dd = isinstance(t, DD)
-    if use_dd:
-        wd = DD(w)
-        one = DD(1.0)
-    else:
+    if not isinstance(t, DD):
         t = _check_nonneg(t)
-        wd = w
-        one = 1.0
-    v = wd / (wd - 1.0)
-    psi_t = psi(t)
-    psi_wt = psi(wd * t)
-    vp = one
-    psip = one
-    acc = one  # k = 0 term of sum v^k Psi^k
-    for _ in range(1, n):
-        vp = vp * v
-        psip = psip * psi_t
-        acc = acc + vp * psip
-    vn_psin = vp * v * psip * psi_t  # v^n Psi^n
-    residual = one - vn_psin + (v - one) * psi_wt * acc
-    return abs(float(residual))
+    return _functional_equation_residuals(n, w, psi, t, n)[0]
 
 
 def characterization_residual(n, w, phi, t):
@@ -319,7 +390,7 @@ def characterization_residual(n, w, phi, t):
     goodness-of-fit residual.  Like :func:`functional_equation_residual`,
     evaluation follows the numeric type of ``t``.
     """
-    n = _check_positive_int(n, "n")
+    n = check_positive_int(n, "n")
     w = _check_w(w)
     if isinstance(t, DD):
         wd, one, zero = DD(w), DD(1.0), DD(0.0)
@@ -338,7 +409,7 @@ def characterization_residual(n, w, phi, t):
         power = power * phi_t
         acc = acc + rk * power
     residual = lead * power - (wd - 1.0) * phi_wt + acc
-    return abs(float(residual))
+    return _magnitude(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +425,7 @@ def reciprocal_series_from_moments(moments, order):
     For exponential moments m_k = k!/rate^k this returns
     [1, 1/rate, 0, 0, ...], the signature that characterizes the family.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 0:
-        raise ParameterError(f"order must be a nonnegative integer, got {order!r}")
-    order = int(order)
+    order = _check_nonnegative_int(order, "order")
     m = np.asarray(moments, dtype=float)
     if m.size < order:
         raise ParameterError(
@@ -451,6 +520,15 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
+def _reciprocal_exp_transform(rate):
+    """Psi(t) = 1 + t/rate, the reciprocal of the exponential transform."""
+
+    def psi(t):
+        return 1.0 + t / rate
+
+    return psi
+
+
 def run_identity_checks(
     exact_max_n=30,
     shift_max_m=10,
@@ -469,43 +547,65 @@ def run_identity_checks(
     brackets for n <= 20 over v = w/(w-1) with w in {1/5, 1/2, 3/2, 2, 5},
     and the transform identities for n <= 10, w in ``float_ws`` on
     ``grid_points``-point t-grids.
+
+    Every check is counted and decided on its own, but the work is shared:
+    each exact family clears denominators once per v = p/q and walks
+    n = 1..max_n in one integer recurrence, and each float family evaluates
+    a whole t-grid at once as array double-doubles, with one power/geometric
+    recurrence giving every n.  A sweep that would check nothing (a size
+    below its minimum, or an empty list of w or rates) raises
+    ParameterError.
     """
+    exact_max_n = check_positive_int(exact_max_n, "exact_max_n")
+    shift_max_m = _check_nonnegative_int(shift_max_m, "shift_max_m")
+    n_rationals = check_positive_int(n_rationals, "n_rationals")
+    bracket_max_n = check_positive_int(bracket_max_n, "bracket_max_n")
+    if bracket_max_n < 2:
+        raise ParameterError(f"bracket_max_n must be >= 2, got {bracket_max_n}")
+    float_max_n = check_positive_int(float_max_n, "float_max_n")
+    grid_points = check_positive_int(grid_points, "grid_points")
+    ws = [_check_w(w) for w in float_ws]
+    rates = [_check_rate(rate) for rate in float_rates]
+    if not ws or not rates:
+        raise ParameterError("float_ws and float_rates must each hold at least one value")
+
     rng = np.random.default_rng(seed)
-    vs = random_rationals(n_rationals, rng)
+    pqs = [(v.numerator, v.denominator) for v in random_rationals(n_rationals, rng)]
     families = []
 
     def binomial_family():
         checks = failures = 0
-        for v in vs:
-            for n in range(1, exact_max_n + 1):
-                for j in range(1, n + 1):
-                    checks += 1
-                    if binomial_sum_residual(n, j, v) != 0:
-                        failures += 1
+        for p, q in pqs:
+            for j in range(1, exact_max_n + 1):
+                for n, (lhs, rhs) in enumerate(_binomial_sides(exact_max_n, 0, j, p, q), 1):
+                    if n >= j:
+                        checks += 1
+                        if lhs - rhs != 0:
+                            failures += 1
         return checks, failures, 0.0
 
     def shifted_family():
         checks = failures = 0
-        for v in vs:
-            for n in range(1, exact_max_n + 1):
-                for m in range(0, shift_max_m + 1):
-                    for j in range(1, n + m + 1):
-                        checks += 1
-                        if shifted_binomial_sum_residual(n, m, j, v) != 0:
-                            failures += 1
+        for p, q in pqs:
+            for m in range(0, shift_max_m + 1):
+                for j in range(1, exact_max_n + m + 1):
+                    for n, (lhs, rhs) in enumerate(_binomial_sides(exact_max_n, m, j, p, q), 1):
+                        if n + m >= j:
+                            checks += 1
+                            if lhs - rhs != 0:
+                                failures += 1
         return checks, failures, 0.0
 
     def gap_family():
         checks = failures = 0
-        for v in vs:
-            for n in range(1, exact_max_n + 1):
+        for p, q in pqs:
+            for n, (g, w) in enumerate(_geometric_sums(exact_max_n, p, q), 1):
                 for j in range(2, n + 1):
                     checks += 1
-                    gap = geometric_weight_gap(n, j, v)
-                    closed = geometric_weight_gap_closed_form(n, j, v)
-                    if gap != closed:
+                    gap = _gap_numerator(n, j, p, q, g, w)
+                    if (p - q) * gap != _closed_form_numerator(n, j, p, q):
                         failures += 1
-                    elif gap_vanishes(n, j, v):
+                    elif _gap_vanishes(n, j, p, q):
                         if gap != 0:
                             failures += 1
                     elif gap == 0:
@@ -516,62 +616,49 @@ def run_identity_checks(
         checks = failures = 0
         for w in (Fraction(1, 5), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5)):
             v = w / (w - 1)
-            for n in range(2, bracket_max_n + 1):
-                for j in range(2, n + 6):
+            p, q = v.numerator, v.denominator
+            sums = _geometric_sums(bracket_max_n, p, q)
+            for j in range(2, bracket_max_n + 6):
+                sides = _binomial_sides(bracket_max_n, 0, j, p, q)
+                for n in range(max(2, j - 5), bracket_max_n + 1):
                     checks += 1
-                    br = series_coefficient_brackets(n, j, v)
-                    if br.a1_bracket != 0:
+                    lhs, rhs = sides[n - 1]
+                    if lhs - rhs != 0:  # the a_1^j bracket
                         failures += 1
-                    elif not gap_vanishes(n, j, v) and br.aj_bracket == 0:
+                    elif (not _gap_vanishes(n, j, p, q)
+                          and _gap_numerator(n, j, p, q, *sums[n - 1]) == 0):
                         failures += 1
         return checks, failures, 0.0
 
-    def lt_identity_family():
+    def float_family(residual_arrays, tol):
         checks = failures = 0
         worst = 0.0
-        for rate in float_rates:
-            grid = np.linspace(0.0, 10.0 * rate, grid_points)
-            for w in float_ws:
-                for n in range(1, float_max_n + 1):
-                    for t in grid:
-                        checks += 1
-                        r = exp_lt_identity_residual(n, w, rate, float(t))
-                        worst = max(worst, r)
-                        if r > 1e-12:
-                            failures += 1
+        for residuals in residual_arrays:
+            checks += residuals.size
+            failures += int(np.count_nonzero(~(residuals <= tol)))  # NaN fails
+            worst = max(worst, float(residuals.max()))
         return checks, failures, worst
+
+    def lt_identity_family():
+        return float_family(
+            (r for rate in rates for w in ws
+             for r in _lt_identity_residuals(float_max_n, w, rate,
+                                             np.linspace(0.0, 10.0 * rate, grid_points))),
+            1e-12,
+        )
 
     def partial_fraction_family():
-        checks = failures = 0
-        worst = 0.0
         grid = np.linspace(0.0, 10.0, grid_points)
-        for w in float_ws:
-            for t in grid:
-                checks += 1
-                r = partial_fraction_residual(w, float(t))
-                worst = max(worst, r)
-                if r > 1e-14:
-                    failures += 1
-        return checks, failures, worst
+        return float_family((partial_fraction_residual(w, grid) for w in ws), 1e-14)
 
     def functional_equation_family():
-        checks = failures = 0
-        worst = 0.0
-        for rate in float_rates:
-            grid = np.linspace(0.0, 10.0 * rate, grid_points)
-
-            def psi(t, _rate=rate):
-                return 1.0 + t / _rate
-
-            for w in float_ws:
-                for n in range(1, float_max_n + 1):
-                    for t in grid:
-                        checks += 1
-                        r = functional_equation_residual(n, w, psi, DD(float(t)))
-                        worst = max(worst, r)
-                        if r > 1e-10:
-                            failures += 1
-        return checks, failures, worst
+        return float_family(
+            (r for rate in rates for w in ws
+             for r in _functional_equation_residuals(
+                 float_max_n, w, _reciprocal_exp_transform(rate),
+                 DD(np.linspace(0.0, 10.0 * rate, grid_points)))),
+            1e-10,
+        )
 
     specs = [
         ("binomial weighted sum", f"n<={exact_max_n}, j<=n, {n_rationals} rationals",

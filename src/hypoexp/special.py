@@ -17,15 +17,10 @@ import math
 import numpy as np
 from scipy import special as sp_special
 
+from ._util import check_positive_int
 from .errors import ParameterError
 
 _LOG_MAX = math.log(np.finfo(float).max)  # ~709.78
-
-
-def _check_order(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"order n must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def _stirling_tail(k):
@@ -99,7 +94,7 @@ def regularized_upper_gamma(n, t):
 
     Raises OverflowError when the value itself leaves float range.
     """
-    n = _check_order(n)
+    n = check_positive_int(n, "order n")
     scalar = np.ndim(t) == 0
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):

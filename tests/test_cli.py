@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, determinism, round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ class TestVerifyAndSimulate:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert records[-1]["type"] == "verify-total"
         assert records[-1]["failures"] == 0
+
+    @pytest.mark.parametrize("sweep", ["default", "quick"])
+    def test_verify_structured_matches_golden_records(self, capsys, sweep):
+        # records captured before the sweeps moved to integer numerators and
+        # array double-doubles; they carry no timings, so they must not move
+        golden = (Path(__file__).parent / "golden" / f"verify_{sweep}.jsonl").read_text()
+        code, out, _ = run_cli(capsys, "verify", "--sweep", sweep, "--format", "structured")
+        assert code == 0
+        assert out == golden
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_verify_rejects_empty_sweep(self, capsys, max_n):
+        for sweep in ("default", "quick"):
+            code, out, err = run_cli(capsys, "verify", "--max-n", max_n, "--sweep", sweep)
+            assert code == 2
+            assert out == ""
+            assert "--max-n" in err
 
     def test_simulate_writes_sample_file(self, capsys, tmp_path):
         out_file = tmp_path / "times.txt"

@@ -67,3 +67,61 @@ def test_comparisons():
     assert DD(1.0) + 1e-25 > DD(1.0)
     assert DD(2.0) == 2.0
     assert abs(DD(-3.0)) == DD(3.0)
+
+
+def _bits(x, size):
+    return np.broadcast_to(np.asarray(x, dtype=float), size).view(np.uint64)
+
+
+def _scalar_dds(rng, size):
+    # quotients carry a nonzero low part; scale them across 16 decades
+    num = rng.uniform(-10, 10, size)
+    den = rng.uniform(0.5, 10, size)
+    scale = 10.0 ** rng.integers(-8, 9, size)
+    return [DD(float(a)) / DD(float(b)) * float(s) for a, b, s in zip(num, den, scale)]
+
+
+def _stack(dds):
+    return DD(np.array([x.hi for x in dds]), np.array([x.lo for x in dds]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_array_operations_are_bit_identical_to_scalar(seed):
+    rng = np.random.default_rng(100 + seed)
+    size = 40
+    xs, ys = _scalar_dds(rng, size), _scalar_dds(rng, size)
+    fs = rng.uniform(-5, 5, size)
+    xa, ya = _stack(xs), _stack(ys)
+    c, f = ys[0], float(fs[0])
+    ops = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+    }
+    for name, op in ops.items():
+        cases = [
+            (op(xa, ya), [op(x, y) for x, y in zip(xs, ys)]),  # array, array
+            (op(xa, c), [op(x, c) for x in xs]),  # array, scalar DD
+            (op(c, xa), [op(c, x) for x in xs]),  # scalar DD, array
+            (op(xa, f), [op(x, f) for x in xs]),  # array, float
+            (op(f, xa), [op(f, x) for x in xs]),  # float, array
+            (op(xa, fs), [op(x, float(g)) for x, g in zip(xs, fs)]),  # array, ndarray
+            (op(fs, xa), [op(float(g), x) for x, g in zip(xs, fs)]),  # ndarray, array
+            (op(np.float64(f), xa), [op(f, x) for x in xs]),
+        ]
+        for got, want in cases:
+            assert isinstance(got, DD), name
+            np.testing.assert_array_equal(_bits(got.hi, size), _bits([w.hi for w in want], size))
+            np.testing.assert_array_equal(_bits(got.lo, size), _bits([w.lo for w in want], size))
+    for got, want in [(-xa, [-x for x in xs]), (abs(xa), [abs(x) for x in xs]),
+                      (xa**5, [x**5 for x in xs])]:
+        np.testing.assert_array_equal(_bits(got.hi, size), _bits([w.hi for w in want], size))
+        np.testing.assert_array_equal(_bits(got.lo, size), _bits([w.lo for w in want], size))
+
+
+def test_array_abs_handles_zero_high_part():
+    x = DD(np.array([0.0, 0.0, -1.0, 2.0]), np.array([-1e-30, 1e-30, 1e-20, -1e-20]))
+    got = abs(x)
+    np.testing.assert_array_equal(got.hi, [0.0, 0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(got.lo, [1e-30, 1e-30, -1e-20, -1e-20])

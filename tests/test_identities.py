@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypoexp import identities
 from hypoexp import (
     DD,
     ParameterError,
@@ -269,3 +270,225 @@ def test_quick_report_passes():
     assert report.worst_float_residual < 1e-10
     text = report.render_text()
     assert "failures" in text and "total:" in text
+
+
+# ---------------------------------------------------------------------------
+# one-pass kernels, array evaluation and the sweep's own safeguards
+# ---------------------------------------------------------------------------
+
+def _random_pq(rng, bound):
+    while True:
+        v = Fraction(int(rng.integers(-bound, bound + 1)), int(rng.integers(1, bound + 1)))
+        if v not in (0, 1):
+            return v, v.numerator, v.denominator
+
+
+def _gap_by_fractions(n, j, v):
+    # the termwise definition, in rationals, as an independent oracle
+    geo = sum(v**k for k in range(n))
+    weighted = sum(k * v**k for k in range(n))
+    return (v / (v - 1)) ** (j - 1) * v * geo + (v - 1) * weighted - n * v**n
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestOnePassKernels:
+    def test_binomial_sides_match_single_n_sums(self):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            v, p, q = _random_pq(rng, 10**4)
+            for m in (0, 1, 4):
+                for j in (1, 2, 5, 9):
+                    sides = identities._binomial_sides(12, m, j, p, q)
+                    assert len(sides) == 12
+                    for n, (lhs, rhs) in enumerate(sides, 1):
+                        lhs_n = (v * sum(math.comb(k + m, j - 1) * v**k for k in range(n))
+                                 + (v - 1) * sum(math.comb(k + m, j) * v**k for k in range(n)))
+                        rhs_n = math.comb(n + m, j) * v**n - math.comb(m, j)
+                        assert lhs == lhs_n * q**n
+                        assert rhs == rhs_n * q**n
+
+    def test_geometric_sums_match_single_n_sums(self):
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            v, p, q = _random_pq(rng, 10**4)
+            for n, (g, w) in enumerate(identities._geometric_sums(15, p, q), 1):
+                assert g == sum(v**k for k in range(n)) * q ** (n - 1)
+                assert w == sum(k * v**k for k in range(n)) * q ** (n - 1)
+
+    def test_gap_numerators_match_rational_forms(self):
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            v, p, q = _random_pq(rng, 10**3)
+            d = p - q
+            sums = identities._geometric_sums(10, p, q)
+            for n in range(1, 11):
+                for j in range(2, 12):
+                    gap = identities._gap_numerator(n, j, p, q, *sums[n - 1])
+                    closed = identities._closed_form_numerator(n, j, p, q)
+                    assert gap == _gap_by_fractions(n, j, v) * d ** (j - 1) * q**n
+                    s = v / (v - 1)
+                    assert closed == (s**j - s) * (v**n - 1) * d**j * q**n
+                    assert geometric_weight_gap(n, j, v) == _gap_by_fractions(n, j, v)
+                    assert gap_vanishes(n, j, v) == (v**n == 1 or s ** (j - 1) == 1)
+
+    def test_float_kernels_match_single_n_evaluation(self):
+        # the original algorithm: a fresh scalar recurrence for each n
+        def lt_single(n, w, rate, t):
+            wd, td, lam = DD(w), DD(t), DD(rate)
+            phi1 = (wd - 1.0) * (lam / (lam + wd * td))
+            phi2 = ((wd - 1.0) / wd) * (lam / (lam + td))
+            power, geo = DD(1.0), DD(0.0)
+            for _ in range(n):
+                power = power * phi2
+                geo = geo + power
+            return abs(float(phi1 * power - phi1 + geo))
+
+        def fe_single(n, w, rate, t):
+            wd, one, td = DD(w), DD(1.0), DD(t)
+            v = wd / (wd - 1.0)
+            psi_t, psi_wt = 1.0 + td / rate, 1.0 + (wd * td) / rate
+            vp = psip = acc = one
+            for _ in range(1, n):
+                vp = vp * v
+                psip = psip * psi_t
+                acc = acc + vp * psip
+            return abs(float(one - vp * v * psip * psi_t + (v - one) * psi_wt * acc))
+
+        grid = np.linspace(0.0, 20.0, 13)
+        for w in (0.1, 1.5, 10.0):
+            for rate in (1.0, 2.0):
+                lt = identities._lt_identity_residuals(10, w, rate, grid)
+                fe = identities._functional_equation_residuals(
+                    10, w, identities._reciprocal_exp_transform(rate), DD(grid))
+                for n in range(1, 11):
+                    want_lt = [lt_single(n, w, rate, float(t)) for t in grid]
+                    want_fe = [fe_single(n, w, rate, float(t)) for t in grid]
+                    np.testing.assert_array_equal(_bits(lt[n - 1]), _bits(want_lt))
+                    np.testing.assert_array_equal(_bits(fe[n - 1]), _bits(want_fe))
+
+
+class TestArrayResiduals:
+    grid = np.linspace(0.0, 10.0, 21)
+
+    def test_product_identity(self):
+        for n in (1, 4, 10):
+            for w in (0.1, 2.0):
+                for rate in (1.0, 2.0):
+                    got = exp_lt_identity_residual(n, w, rate, self.grid)
+                    want = [exp_lt_identity_residual(n, w, rate, float(t)) for t in self.grid]
+                    assert got.shape == self.grid.shape
+                    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_partial_fraction(self):
+        for w in (0.1, 0.5, 3.0, 10.0):
+            got = partial_fraction_residual(w, self.grid)
+            want = [partial_fraction_residual(w, float(t)) for t in self.grid]
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_functional_equation_dd_and_float(self):
+        def psi(t):
+            return 1.0 + t / 2.0
+
+        for n in (1, 3, 10):
+            for w in (0.3, 5.0):
+                got = functional_equation_residual(n, w, psi, DD(self.grid))
+                want = [functional_equation_residual(n, w, psi, DD(float(t))) for t in self.grid]
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+                got = functional_equation_residual(n, w, psi, self.grid)
+                want = [functional_equation_residual(n, w, psi, float(t)) for t in self.grid]
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_characterization_residual(self):
+        def phi(t):
+            return 1.0 / (1.0 + t)
+
+        for n in (1, 5):
+            got = characterization_residual(n, 2.0, phi, DD(self.grid))
+            want = [characterization_residual(n, 2.0, phi, DD(float(t))) for t in self.grid]
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_rejects_bad_grid(self):
+        for bad in (np.array([0.0, -1.0]), np.array([0.0, np.nan]), np.array([np.inf])):
+            with pytest.raises(ParameterError):
+                exp_lt_identity_residual(2, 2.0, 1.0, bad)
+            with pytest.raises(ParameterError):
+                partial_fraction_residual(2.0, bad)
+
+
+_SMALL = dict(exact_max_n=6, shift_max_m=3, n_rationals=4, bracket_max_n=5,
+              float_max_n=4, grid_points=12)
+
+
+def _failures(report):
+    return {f.name: f.failures for f in report.families}
+
+
+class TestSweepSensitivity:
+    """The sweep must count failures when the identity it checks is broken."""
+
+    def test_clean_sweep_passes(self):
+        assert run_identity_checks(**_SMALL).total_failures == 0
+
+    def test_dropped_boundary_term_fails_shifted_family(self, monkeypatch):
+        original = identities._binomial_sides
+
+        def without_boundary(max_n, m, j, p, q):
+            return [(lhs, rhs + math.comb(m, j) * q**n)
+                    for n, (lhs, rhs) in enumerate(original(max_n, m, j, p, q), 1)]
+
+        monkeypatch.setattr(identities, "_binomial_sides", without_boundary)
+        failures = _failures(run_identity_checks(**_SMALL))
+        assert failures["shifted binomial weighted sum"] > 0
+        # C(0, j) = 0 for j >= 1: the unshifted families never see the term
+        assert failures["binomial weighted sum"] == 0
+        assert failures["series coefficient brackets"] == 0
+
+    def test_perturbed_weighted_sum_fails_gap_family(self, monkeypatch):
+        original = identities._geometric_sums
+
+        def perturbed(max_n, p, q):
+            return [(g, w + 1) for g, w in original(max_n, p, q)]
+
+        monkeypatch.setattr(identities, "_geometric_sums", perturbed)
+        failures = _failures(run_identity_checks(**_SMALL))
+        assert failures["geometric weight gap vs closed form"] > 0
+
+    def test_perturbed_psi_fails_functional_equation(self, monkeypatch):
+        def perturbed(rate):
+            return lambda t: 1.0 + t / rate + 1e-8
+
+        monkeypatch.setattr(identities, "_reciprocal_exp_transform", perturbed)
+        report = run_identity_checks(**_SMALL)
+        family = [f for f in report.families if f.name.startswith("functional equation")][0]
+        assert family.failures > 0
+        assert family.worst_residual > 1e-10
+
+    def test_float_tolerances_bite_where_rounding_grows(self):
+        # at n = 40 the geometric terms reach 49^40 ~ 4e67 (product identity,
+        # w = 0.02) and (v Psi)^40 ~ 1e41 (functional equation, w = 40,
+        # Psi up to 11), far beyond what double-double cancels to tolerance
+        report = run_identity_checks(**{**_SMALL, "float_max_n": 40, "float_ws": (0.02, 40.0)})
+        failures = _failures(report)
+        assert failures["scaled-transform product identity"] > 0
+        assert failures["functional equation (reciprocal exp)"] > 0
+        assert failures["partial fraction split"] == 0
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize("bad", [
+        {"exact_max_n": 0}, {"exact_max_n": -3}, {"n_rationals": 0},
+        {"bracket_max_n": 1}, {"float_max_n": 0}, {"grid_points": 0},
+        {"shift_max_m": -1}, {"float_ws": ()}, {"float_rates": ()},
+        {"float_ws": (1.0,)}, {"float_rates": (0.0,)}, {"exact_max_n": 2.0},
+    ])
+    def test_vacuous_or_invalid_sweep_raises(self, bad):
+        with pytest.raises(ParameterError):
+            run_identity_checks(**{**_SMALL, **bad})
+
+    def test_zero_shift_is_a_real_sweep(self):
+        report = run_identity_checks(**{**_SMALL, "shift_max_m": 0})
+        shifted = [f for f in report.families if f.name.startswith("shifted")][0]
+        assert shifted.checks == 4 * 21 and shifted.failures == 0

@@ -1,0 +1,42 @@
+"""The shared positive-integer validator and the callers that use it."""
+
+import numpy as np
+import pytest
+
+from hypoexp import EME, Erlang, GofConfig, ParameterError, regularized_upper_gamma
+from hypoexp._util import check_positive_int
+from hypoexp.identities import binomial_sum_residual
+
+
+def test_accepts_python_and_numpy_integers():
+    assert check_positive_int(1, "n") == 1
+    value = check_positive_int(np.int64(7), "n")
+    assert value == 7 and type(value) is int
+
+
+@pytest.mark.parametrize("bad", [0, -3, True, False, 2.0, "3", None, np.float64(2.0)])
+def test_rejects_everything_else_naming_the_parameter(bad):
+    with pytest.raises(ParameterError, match=r"^count must be a positive integer, got "):
+        check_positive_int(bad, "count")
+
+
+def test_callers_keep_their_parameter_names():
+    cases = [
+        (lambda: Erlang(0, 1.0), "n must"),
+        (lambda: EME(2, 1.0, 2.0).sample(0, np.random.default_rng(0)), "count must"),
+        (lambda: regularized_upper_gamma(0, 1.0), "order n must"),
+        (lambda: GofConfig(n=0), "n must"),
+        (lambda: GofConfig(grid_points=0), "grid_points must"),
+        (lambda: binomial_sum_residual(3, 0, 2), "j must"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+
+def test_gof_config_normalizes_numpy_integers():
+    cfg = GofConfig(n=np.int64(3), grid_points=np.int32(16))
+    assert type(cfg.n) is int and cfg.n == 3
+    assert type(cfg.grid_points) is int and cfg.grid_points == 16
+    with pytest.raises(ParameterError):
+        GofConfig(n=True)
