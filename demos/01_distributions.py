@@ -5,7 +5,7 @@ Run:  python demos/01_distributions.py
 
 import numpy as np
 
-from hypoexp import EME, Erlang, Exponential, Hypoexponential, moments
+from hypoexp import EME, Erlang, Exponential, Hypoexponential
 
 print("=" * 70)
 print("Four ways to sum exponential stages")
@@ -17,9 +17,8 @@ hypo = Hypoexponential(rates=(1.0, 2.0, 4.0))
 eme = EME(n=3, rate=1.0, w=5.0)  # three unit-rate stages plus one at rate 1/5
 
 for dist in (exp1, erl, hypo, eme):
-    mean, var = moments(dist)
     print(f"\n{dist}")
-    print(f"  mean {mean:.4f}   variance {var:.4f}")
+    print(f"  mean {dist.mean:.4f}   variance {dist.var:.4f}")
     print("  x      pdf        cdf        laplace")
     for x in (0.5, 1.0, 2.0, 5.0):
         print(f"  {x:<5g} {dist.pdf(x):<10.6f} {dist.cdf(x):<10.6f} {dist.laplace(x):<10.6f}")

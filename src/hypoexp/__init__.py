@@ -29,7 +29,6 @@ from .distributions import (
     family_name,
     hypoexp_weights,
     make_distribution,
-    moments,
 )
 from .errors import (
     ConvergenceError,
@@ -96,7 +95,6 @@ __all__ = [
     "family_name",
     "hypoexp_weights",
     "make_distribution",
-    "moments",
     "ConvergenceError",
     "DataError",
     "DomainError",

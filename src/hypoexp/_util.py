@@ -1,5 +1,6 @@
 """Small shared helpers: seeding, argument validation, data coercion."""
 
+import math
 from zlib import crc32
 
 import numpy as np
@@ -33,6 +34,23 @@ def check_positive_int(value, name):
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def check_positive_real(value, name):
+    """``value`` as a float; ParameterError unless it is finite and positive."""
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
+    return value
+
+
+def check_w(w):
+    """The odd-stage multiplier ``w`` as a float; ParameterError unless it is
+    finite, positive and != 1 (at w = 1 the characterization is empty)."""
+    w = float(w)
+    if not math.isfinite(w) or w <= 0.0 or w == 1.0:
+        raise ParameterError(f"w must be positive, finite and != 1, got {w!r}")
+    return w
 
 
 def as_values(data, require_positive=False, what="data"):

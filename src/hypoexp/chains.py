@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_values, check_positive_int
-from .distributions import Sample, _check_rate, _std_exp
+from ._util import as_values, check_positive_int, check_positive_real
+from .distributions import Sample, _std_exp
 from .errors import ParameterError
 
 # Asymptotic 1% Kolmogorov-Smirnov critical constant: pass below 1.63/sqrt(N).
@@ -30,7 +30,7 @@ class StageChain:
     rates: tuple
 
     def __post_init__(self):
-        rates = tuple(_check_rate(r, "stage rate") for r in np.atleast_1d(self.rates))
+        rates = tuple(check_positive_real(r, "stage rate") for r in np.atleast_1d(self.rates))
         if not rates:
             raise ParameterError("a chain needs at least one stage")
         object.__setattr__(self, "rates", rates)
@@ -54,7 +54,7 @@ def eme_chain(k, rate_main, rate_last):
     EME(n=k, rate=rate_main, w).
     """
     k = check_positive_int(k, "k")
-    return StageChain(rates=(_check_rate(rate_main),) * k + (_check_rate(rate_last),))
+    return StageChain(rates=(rate_main,) * k + (rate_last,))
 
 
 def simulate_absorption(chain, count, rng, label=None):

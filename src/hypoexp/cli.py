@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import DEFAULT_SEED, derive_rng
 from .chains import StageChain, simulate_absorption
-from .distributions import make_distribution
+from .distributions import FAMILIES, FAMILY_ALIASES, make_distribution
 from .errors import HypoexpError
 from .fitting import fit_eme
 from .gof import METHOD_NOTE, GofConfig, gof_residual_curve, gof_test
@@ -59,33 +59,30 @@ def _emit(args, records, text_lines):
 
 
 def _build_dist(args):
-    family = args.dist
-    if family is None:
+    if args.dist is None:
         raise _UsageError("--dist is required")
     params = {}
-    if getattr(args, "rate", None) is not None:
-        params["rate"] = args.rate
-    if getattr(args, "n", None) is not None:
-        params["n"] = args.n
-    if getattr(args, "w", None) is not None:
-        params["w"] = args.w
-    if getattr(args, "rates", None) is not None:
-        params["rates"] = args.rates
-    needed = {
-        "exp": ("rate",),
-        "exponential": ("rate",),
-        "erlang": ("n", "rate"),
-        "hypo": ("rates",),
-        "hypoexponential": ("rates",),
-        "eme": ("n", "rate", "w"),
-    }.get(family)
-    if needed is None:
-        raise _UsageError(f"--dist: unknown family {family!r}")
-    flag = {"rate": "--lambda", "n": "--n", "w": "--w", "rates": "--rates"}
-    for key in needed:
-        if key not in params:
-            raise _UsageError(f"{flag[key]} is required for --dist {family}")
-    return make_distribution(family, **params)
+    for key in FAMILIES[FAMILY_ALIASES[args.dist]][2]:
+        params[key] = getattr(args, key)
+        if params[key] is None:
+            flag = "--lambda" if key == "rate" else f"--{key}"
+            raise _UsageError(f"{flag} is required for --dist {args.dist}")
+    return make_distribution(args.dist, **params)
+
+
+def _write_or_print(args, sample, record, message):
+    """Write ``sample`` to ``--out`` and report it, or print its values."""
+    if args.out:
+        write_samples(args.out, sample)
+        _emit(args, [{**record, "count": len(sample), "seed": args.seed, "out": str(args.out)}],
+              [message])
+    else:
+        _emit(
+            args,
+            [{"type": "value", "value": float(v)} for v in sample.values],
+            [f"{v:.17g}" for v in sample.values],
+        )
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +109,10 @@ def _cmd_sample(args):
     dist = _build_dist(args)
     rng = derive_rng(args.seed, "sample")
     batch = dist.sample(args.count, rng)
-    if args.out:
-        write_samples(args.out, batch)
-        _emit(
-            args,
-            [{"type": "sample", "family": args.dist, "count": len(batch),
-              "seed": args.seed, "out": str(args.out)}],
-            [f"wrote {len(batch)} values to {args.out} (seed={args.seed})"],
-        )
-    else:
-        _emit(
-            args,
-            [{"type": "value", "value": float(v)} for v in batch.values],
-            [f"{v:.17g}" for v in batch.values],
-        )
-    return 0
+    return _write_or_print(
+        args, batch, {"type": "sample", "family": args.dist},
+        f"wrote {len(batch)} values to {args.out} (seed={args.seed})",
+    )
 
 
 def _cmd_fit(args):
@@ -245,22 +231,11 @@ def _cmd_simulate(args):
     chain = StageChain(rates=tuple(args.stages))
     rng = derive_rng(args.seed, "simulate")
     times = simulate_absorption(chain, args.count, rng)
-    if args.out:
-        write_samples(args.out, times)
-        _emit(
-            args,
-            [{"type": "simulate", "stages": list(chain.rates), "count": len(times),
-              "seed": args.seed, "out": str(args.out)}],
-            [f"wrote {len(times)} absorption times to {args.out} "
-             f"(stages={','.join(_fmt(r) for r in chain.rates)}, seed={args.seed})"],
-        )
-    else:
-        _emit(
-            args,
-            [{"type": "value", "value": float(v)} for v in times.values],
-            [f"{v:.17g}" for v in times.values],
-        )
-    return 0
+    return _write_or_print(
+        args, times, {"type": "simulate", "stages": list(chain.rates)},
+        f"wrote {len(times)} absorption times to {args.out} "
+        f"(stages={','.join(_fmt(r) for r in chain.rates)}, seed={args.seed})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +243,7 @@ def _cmd_simulate(args):
 # ---------------------------------------------------------------------------
 
 def _add_dist_flags(sub):
-    sub.add_argument("--dist",
-                     choices=["exp", "exponential", "erlang", "hypo", "hypoexponential", "eme"],
-                     help="distribution family")
+    sub.add_argument("--dist", choices=list(FAMILY_ALIASES), help="distribution family")
     sub.add_argument("--lambda", dest="rate", type=float, help="rate parameter")
     sub.add_argument("--n", type=int, help="stage count (erlang, eme)")
     sub.add_argument("--w", type=float, help="odd-stage multiplier (eme)")
@@ -310,7 +283,6 @@ def build_parser():
     p = sub.add_parser("fit", help="maximum-likelihood EME fit")
     p.add_argument("--in", dest="infile", default=None, help="sample file")
     p.add_argument("--column", default=None, help="CSV column name")
-    p.add_argument("--family", choices=["eme"], default="eme")
     p.add_argument("--n", type=int, default=None, help="fixed stage count")
     p.add_argument("--search", type=int, default=None,
                    help="scan stage counts 1..SEARCH and keep the best likelihood")

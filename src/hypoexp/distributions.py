@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sp_special
 
-from ._util import as_values, check_positive_int
+from ._util import as_values, check_positive_int, check_positive_real
 from .errors import ConvergenceError, DomainError, ParameterError
 from .special import log_poisson_weight, partial_exp_sum
 
@@ -30,13 +30,6 @@ MIN_RELATIVE_RATE_GAP = 1e-8
 ERLANG_LIMIT_TOL = 1e-6
 
 _EPS = np.finfo(float).eps
-
-
-def _check_rate(value, name="rate"):
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
-    return value
 
 
 def _as_points(x, name="x"):
@@ -84,7 +77,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", _check_rate(self.rate))
+        object.__setattr__(self, "rate", check_positive_real(self.rate, "rate"))
 
     @property
     def mean(self):
@@ -121,7 +114,7 @@ class Erlang:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_positive_int(self.n, "n"))
-        object.__setattr__(self, "rate", _check_rate(self.rate))
+        object.__setattr__(self, "rate", check_positive_real(self.rate, "rate"))
 
     @property
     def mean(self):
@@ -187,7 +180,7 @@ class Hypoexponential:
     weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rates = tuple(_check_rate(r, "rate") for r in np.atleast_1d(self.rates))
+        rates = tuple(check_positive_real(r, "rate") for r in np.atleast_1d(self.rates))
         if len(rates) < 2:
             raise ParameterError("Hypoexponential needs at least two rates")
         lam = np.asarray(rates)
@@ -268,8 +261,8 @@ class EME:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_positive_int(self.n, "n"))
-        object.__setattr__(self, "rate", _check_rate(self.rate))
-        object.__setattr__(self, "w", _check_rate(self.w, "w"))
+        object.__setattr__(self, "rate", check_positive_real(self.rate, "rate"))
+        object.__setattr__(self, "w", check_positive_real(self.w, "w"))
 
     @property
     def is_erlang_limit(self):
@@ -446,20 +439,41 @@ def _eme_logpdf(n, rate, w, x, score=False):
 def _eme_cdf(n, rate, w, x):
     """CDF of EME(n, rate, w), by termwise integration of the density.
 
-    Closed partial-fraction form, v = w/(w-1):
+    Integrated series form, r = (w-1)/w, P the regularized lower incomplete
+    gamma:
+
+        F(x) = (1/w) sum_{j>=0} r^j P(n+j+1, rate x).
+
+    Its terms fall like those of the density series in u = r rate x, so it
+    serves every point with |u| <= n+1, the split ``_eme_logpdf`` uses.
+    Points with |u| > n+1 take the closed partial-fraction form, v = w/(w-1),
 
         F(x) = v^n (1 - e^{-rate x / w}) - (1/w) sum_{k=0}^{n-1} v^{n-k} P(k+1, rate x)
 
-    with P the regularized lower incomplete gamma.  Its terms cancel when
-    |v|^n is large (w near 1), so it serves only w > 1 with |v|^n <= 1e4,
-    and w <= 1/2, where the series below diverges.  Otherwise |r| < 1 in the
-    integrated series form
+    when w <= 1/2 or w > 1 with |v|^n <= 1e4.  Its terms cancel in the left
+    tail, which |u| <= n+1 covers, and wherever |v|^n is large (w near 1); for
+    those w, and for 1/2 < w < 1, |r| < 1 and the series serves every point.
+    """
+    lx = rate * x
+    closed_ok = w <= 0.5 or (w > 1.0 and n * (math.log(w) - math.log(w - 1.0)) <= math.log(1e4))
+    closed = abs(w - 1.0) / w * lx > n + 1.0
+    if not (closed_ok and closed.any()):
+        return np.clip(_eme_cdf_series(n, w, lx), 0.0, 1.0)
+    v = w / (w - 1.0)
+    vals = v**n * (-np.expm1(-lx / w))
+    for k in range(n):
+        vals -= v ** (n - k) * sp_special.gammainc(k + 1, lx) / w
+    if not closed.all():
+        vals[~closed] = _eme_cdf_series(n, w, lx[~closed])
+    return np.clip(vals, 0.0, 1.0)
 
-        F(x) = (1/w) sum_{j>=0} r^j P(n+j+1, rate x),   r = (w-1)/w.
+
+def _eme_cdf_series(n, w, lx):
+    """F at the points lx = rate x by the integrated series of ``_eme_cdf``.
 
     It stops at the first J whose next term at the largest point is bounded
     below 1e-18 of the partial sum there.  With P(a, x) = P(a+1, x) + pois(a, x),
-    pois(a, x) = x^a e^{-x} / a!, the sum regroups into positive terms,
+    pois(a, x) = x^a e^{-x} / a!, the sum regroups into
 
         w F(x) = R_J P(n+J+1, x) + sum_{j<J} R_j pois(n+j+1, x),
         R_j = sum_{i<=j} r^i = (1 - r^{j+1}) / (1 - r),
@@ -467,22 +481,17 @@ def _eme_cdf(n, rate, w, x):
     so ``gammainc`` runs once, at the top order, and the lower orders follow
     from pois(a, x) = pois(a+1, x) (a+1) / x.
     """
-    lx = rate * x
-    log_vn = n * (math.log(w) - math.log(abs(w - 1.0))) if w != 1.0 else math.inf
-    if w <= 0.5 or (w > 1.0 and log_vn <= math.log(1e4)):
-        v = w / (w - 1.0)
-        vals = v**n * (-np.expm1(-lx / w))
-        for k in range(n):
-            vals -= v ** (n - k) * sp_special.gammainc(k + 1, lx) / w
-        return np.clip(vals, 0.0, 1.0)
     r = (w - 1.0) / w
     lx_max = float(lx.max()) if lx.size else 0.0
     if lx_max == 0.0:
         return np.zeros_like(lx)
-    # Top order from bounds at lx_max: the partial sum is at least
-    # (1 - max(-r, 0)) P(n+1, x), and P(a, x) <= pois(a, x) (a+1)/(a+1-x) for
-    # a + 1 > x, else 1.
-    floor = 1e-18 * (1.0 - max(-r, 0.0)) * sp_special.gammainc(n + 1, lx_max)
+    # Top order from bounds at lx_max.  w F = int_0^x pois(n, y) S(r y) dy with
+    # S(u) >= exp(u/(n+1)) (Jensen on the Beta(1, n) mixture), so the partial
+    # sum is at least low P(n+1, x), low = min(1, exp(r x/(n+1))); for
+    # -1 < r < 0 the alternating series also gives 1 + r.  And
+    # P(a, x) <= pois(a, x) (a+1)/(a+1-x) for a + 1 > x, else 1.
+    low = min(1.0, max(1.0 + r, math.exp(r * lx_max / (n + 1))))
+    floor = 1e-18 * low * sp_special.gammainc(n + 1, lx_max)
     log_x = math.log(lx_max)
     log_pois = (n + 1) * log_x - lx_max - math.lgamma(n + 2)
     coeff = 1.0
@@ -509,50 +518,41 @@ def _eme_cdf(n, rate, w, x):
         else:
             pois *= (a + 1) * inv_lx
         vals += (1.0 - r ** (a - n)) / (1.0 - r) * pois
-    return np.clip(np.reshape(vals, shape) / w, 0.0, 1.0)
+    return np.reshape(vals, shape) / w
 
 
-def moments(dist):
-    """(mean, variance) of any distribution in this module."""
-    return dist.mean, dist.var
+# canonical name -> (class, aliases, constructor parameters); drives
+# make_distribution, family_name, the io parameter records and the CLI --dist
+FAMILIES = {
+    "exponential": (Exponential, ("exp",), ("rate",)),
+    "erlang": (Erlang, (), ("n", "rate")),
+    "hypoexponential": (Hypoexponential, ("hypo",), ("rates",)),
+    "eme": (EME, (), ("n", "rate", "w")),
+}
 
-
-def _required(params, key, family):
-    if params.get(key) is None:
-        raise ParameterError(f"family {family!r} requires parameter {key!r}")
-    return params[key]
+# every accepted family string (canonical names and aliases) -> canonical name
+FAMILY_ALIASES = {
+    alias: name for name, (_, aliases, _) in FAMILIES.items() for alias in (name, *aliases)
+}
 
 
 def make_distribution(family, **params):
-    """Build a distribution from a family name and keyword parameters.
-
-    Accepted families: ``exponential`` (rate), ``erlang`` (n, rate),
-    ``hypoexponential`` (rates), ``eme`` (n, rate, w).
-    """
+    """Build a distribution from a family name or alias (see ``FAMILIES``) and
+    keyword parameters: ``exponential`` (rate), ``erlang`` (n, rate),
+    ``hypoexponential`` (rates), ``eme`` (n, rate, w)."""
     family = str(family).lower()
-    if family in ("exp", "exponential"):
-        return Exponential(rate=_required(params, "rate", family))
-    if family == "erlang":
-        return Erlang(n=_required(params, "n", family), rate=_required(params, "rate", family))
-    if family in ("hypo", "hypoexponential"):
-        return Hypoexponential(rates=tuple(_required(params, "rates", family)))
-    if family == "eme":
-        return EME(
-            n=_required(params, "n", family),
-            rate=_required(params, "rate", family),
-            w=_required(params, "w", family),
-        )
-    raise ParameterError(f"unknown distribution family {family!r}")
+    if family not in FAMILY_ALIASES:
+        raise ParameterError(f"unknown distribution family {family!r}")
+    cls, _, keys = FAMILIES[FAMILY_ALIASES[family]]
+    for key in keys:
+        if params.get(key) is None:
+            raise ParameterError(f"family {family!r} requires parameter {key!r}")
+    return cls(**{key: params[key] for key in keys})
 
 
 def family_name(dist):
     """Canonical family string for a distribution instance."""
-    if isinstance(dist, Exponential):
-        return "exponential"
-    if isinstance(dist, Erlang):
-        return "erlang"
-    if isinstance(dist, Hypoexponential):
-        return "hypoexponential"
-    if isinstance(dist, EME):
-        return "eme"
+    for name, (cls, _, _) in FAMILIES.items():
+        if isinstance(dist, cls):
+            return name
     raise ParameterError(f"not a distribution: {dist!r}")

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_SEED, as_values, check_positive_int
+from ._util import DEFAULT_SEED, as_values, check_positive_int, check_positive_real, check_w
 from .errors import DataError, ParameterError
+from .identities import _characterization_residuals
 
 METHOD_NOTE = (
     "empirical-Laplace residual of the exponential characterization "
@@ -31,6 +32,10 @@ METHOD_NOTE = (
     "grid and calibrated by parametric bootstrap; construction is this "
     "package's own design"
 )
+
+# Upper end of the t-grid: past it the standard-exponential transform is
+# essentially flat and contributes nothing.
+T_MAX = 10.0
 
 # Replicates per bootstrap block: about 512 KiB of draws, so the block and the
 # kernel's working arrays stay in a typical L2 cache.
@@ -42,9 +47,8 @@ class GofConfig:
     """Configuration of the exponentiality test.
 
     ``n`` and ``w`` select which instance of the characterization is tested;
-    the defaults (2, 2) are a design choice, not canon.  ``t_max`` is pinned
-    at 10: past that the standard-exponential transform is essentially flat
-    and contributes nothing.
+    the defaults (2, 2) are a design choice, not canon.  The grid spans
+    (0, ``T_MAX``].
     """
 
     n: int = 2
@@ -54,27 +58,22 @@ class GofConfig:
     bootstrap_reps: int = 999
     level: float = 0.05
     seed: int = DEFAULT_SEED
-    t_max: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_positive_int(self.n, "n"))
-        if not (self.w > 0.0 and self.w != 1.0 and math.isfinite(self.w)):
-            raise ParameterError(f"w must be positive and != 1, got {self.w!r}")
+        object.__setattr__(self, "w", check_w(self.w))
         object.__setattr__(self, "grid_points", check_positive_int(self.grid_points, "grid_points"))
-        if not (self.grid_decay > 0.0):
-            raise ParameterError(f"grid_decay must be positive, got {self.grid_decay!r}")
-        if not isinstance(self.bootstrap_reps, int) or self.bootstrap_reps < 99:
-            raise ParameterError(
-                f"bootstrap_reps must be an integer >= 99, got {self.bootstrap_reps!r}"
-            )
+        object.__setattr__(self, "grid_decay", check_positive_real(self.grid_decay, "grid_decay"))
+        reps = check_positive_int(self.bootstrap_reps, "bootstrap_reps")
+        if reps < 99:
+            raise ParameterError(f"bootstrap_reps must be >= 99, got {reps!r}")
+        object.__setattr__(self, "bootstrap_reps", reps)
         if not (0.0 < self.level < 1.0):
             raise ParameterError(f"level must lie in (0, 1), got {self.level!r}")
-        if not (self.t_max > 0.0):
-            raise ParameterError(f"t_max must be positive, got {self.t_max!r}")
 
     @property
     def grid(self):
-        step = self.t_max / self.grid_points
+        step = T_MAX / self.grid_points
         return step * np.arange(1, self.grid_points + 1)
 
 
@@ -111,20 +110,6 @@ def empirical_laplace(data, t):
     return float(vals[0]) if np.isscalar(t) or np.ndim(t) == 0 else vals
 
 
-def _residual_rows(phi_t, phi_wt, n, w):
-    """Characterization residual rows from transform values on the grid."""
-    ratio = (w - 1.0) / w
-    lead = (w - 1.0) * ratio**n
-    acc = np.zeros_like(phi_t)
-    power = np.ones_like(phi_t)
-    rk = 1.0
-    for _ in range(n):
-        rk *= ratio
-        power = power * phi_t
-        acc += rk * power
-    return lead * phi_wt * power - (w - 1.0) * phi_wt + acc
-
-
 def _grid_means(y, step, exponents):
     """Row means of exp(-y*step)**e for each integer e in the increasing
     list ``exponents`` (rows: R x N).
@@ -151,7 +136,7 @@ def _grid_transforms(y, cfg):
     power table, so one pass over {1..G} U 2*{1..G} gives both and saves an
     exp and G/2 row sums.  Any other w takes one pass per transform: a larger
     whole-number w would need w*G multiplies in one table."""
-    dt = cfg.t_max / cfg.grid_points
+    dt = T_MAX / cfg.grid_points
     g = np.arange(1, cfg.grid_points + 1)
     if cfg.w == 2.0:
         exponents = np.union1d(g, 2 * g)
@@ -165,7 +150,7 @@ def _residuals(rows, cfg):
     observations (rows: R x N), after rescaling each row by its mean."""
     y = rows / rows.mean(axis=1, keepdims=True)  # standardized: null becomes Exp(1)
     phi_t, phi_wt = _grid_transforms(y, cfg)
-    return _residual_rows(phi_t, phi_wt, cfg.n, cfg.w)
+    return _characterization_residuals(cfg.n, cfg.w, phi_t, phi_wt, cfg.n)[0]
 
 
 def _statistic_rows(rows, cfg):
@@ -173,7 +158,7 @@ def _statistic_rows(rows, cfg):
     x = np.asarray(rows, dtype=float)
     resid = _residuals(x, cfg)
     weight = np.exp(-cfg.grid_decay * cfg.grid)
-    return x.shape[1] * (resid * resid * weight).sum(axis=1) * (cfg.t_max / cfg.grid_points)
+    return x.shape[1] * (resid * resid * weight).sum(axis=1) * (T_MAX / cfg.grid_points)
 
 
 def gof_statistic(data, cfg=None):

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._ddouble import DD
-from ._util import check_positive_int
+from ._util import check_positive_int, check_positive_real, check_w
 from .errors import ParameterError
 
 __all__ = [
@@ -239,9 +239,7 @@ def series_coefficient_brackets(n, j, v):
     j = check_positive_int(j, "j")
     if n < 2 or j < 2:
         raise ParameterError(f"brackets need n >= 2 and j >= 2, got n={n}, j={j}")
-    v = _as_fraction(v)
-    if v == 0 or v == 1:
-        raise ParameterError("v in {0, 1} is excluded")
+    v = Fraction(*_numerator_denominator(v, exclude_zero=True))
     a1 = -binomial_sum_residual(n, j, v)
     aj = -geometric_weight_gap(n, j, v)
     return CoefficientBrackets(a1_bracket=a1, aj_bracket=aj, n=n, j=j, v=v)
@@ -250,20 +248,6 @@ def series_coefficient_brackets(n, j, v):
 # ---------------------------------------------------------------------------
 # transform-level identities (double-double floating point)
 # ---------------------------------------------------------------------------
-
-def _check_w(w):
-    w = float(w)
-    if not math.isfinite(w) or w <= 0.0 or w == 1.0:
-        raise ParameterError(f"w must be positive, finite and != 1, got {w!r}")
-    return w
-
-
-def _check_rate(rate):
-    rate = float(rate)
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise ParameterError(f"rate must be positive, got {rate!r}")
-    return rate
-
 
 def _check_nonneg(t, name="t"):
     """A float, or a float64 array when ``t`` is an ndarray, every entry
@@ -286,23 +270,36 @@ def _magnitude(x):
     return np.abs(x) if isinstance(x, np.ndarray) else abs(float(x))
 
 
+def _characterization_residuals(max_n, w, phi_t, phi_wt, min_n=1):
+    """Signed residuals Phi1 Phi2^n - Phi1 + sum_{k=1}^n Phi2^k for
+    n = min_n..max_n, with Phi1 = (w-1) phi(wt) and Phi2 = ((w-1)/w) phi(t),
+    from one power/geometric recurrence in Phi2.
+
+    Zero exactly when phi is an exponential transform.  Works alike on
+    floats, float64 arrays and ``DD`` values (pass ``w`` as a ``DD`` for
+    full double-double precision)."""
+    phi1 = (w - 1.0) * phi_wt
+    phi2 = ((w - 1.0) / w) * phi_t
+    power = geo = phi2
+    residuals = []
+    for n in range(1, max_n + 1):
+        if n > 1:
+            power = power * phi2
+            geo = geo + power
+        if n >= min_n:
+            residuals.append(phi1 * power - phi1 + geo)
+    return residuals
+
+
 def _lt_identity_residuals(max_n, w, rate, t, min_n=1):
-    """Residuals of the product identity for n = min_n..max_n, from one
-    power/geometric recurrence in Phi2."""
+    """|residual| of the product identity for the exponential transform,
+    n = min_n..max_n, in double-double."""
     wd = DD(w)
     td = DD(t)
     lam = DD(rate)
-    phi1 = (wd - 1.0) * (lam / (lam + wd * td))
-    phi2 = ((wd - 1.0) / wd) * (lam / (lam + td))
-    power = DD(1.0)
-    geo = DD(0.0)
-    residuals = []
-    for n in range(1, max_n + 1):
-        power = power * phi2
-        geo = geo + power
-        if n >= min_n:
-            residuals.append(_magnitude(phi1 * power - phi1 + geo))
-    return residuals
+    phi_t = lam / (lam + td)
+    phi_wt = lam / (lam + wd * td)
+    return [_magnitude(r) for r in _characterization_residuals(max_n, wd, phi_t, phi_wt, min_n)]
 
 
 def exp_lt_identity_residual(n, w, rate, t):
@@ -318,7 +315,8 @@ def exp_lt_identity_residual(n, w, rate, t):
     bit-identical to the scalar call at that point.
     """
     n = check_positive_int(n, "n")
-    return _lt_identity_residuals(n, _check_w(w), _check_rate(rate), _check_nonneg(t), n)[0]
+    w, rate = check_w(w), check_positive_real(rate, "rate")
+    return _lt_identity_residuals(n, w, rate, _check_nonneg(t), n)[0]
 
 
 def partial_fraction_residual(w, t):
@@ -326,7 +324,7 @@ def partial_fraction_residual(w, t):
     fraction split that seeds the transform identity.  Exact algebraically;
     the return value is rounding noise below 1e-14 on any sane (w, t).
     An array ``t`` gives an array of residuals."""
-    w = _check_w(w)
+    w = check_w(w)
     t = _check_nonneg(t)
     wd = DD(w)
     td = DD(t)
@@ -373,7 +371,7 @@ def functional_equation_residual(n, w, psi, t):
     equation identically; any other Psi with Psi(0) = 1 violates it at some t.
     """
     n = check_positive_int(n, "n")
-    w = _check_w(w)
+    w = check_w(w)
     if not isinstance(t, DD):
         t = _check_nonneg(t)
     return _functional_equation_residuals(n, w, psi, t, n)[0]
@@ -391,25 +389,12 @@ def characterization_residual(n, w, phi, t):
     evaluation follows the numeric type of ``t``.
     """
     n = check_positive_int(n, "n")
-    w = _check_w(w)
+    w = check_w(w)
     if isinstance(t, DD):
-        wd, one, zero = DD(w), DD(1.0), DD(0.0)
+        w = DD(w)
     else:
         t = _check_nonneg(t)
-        wd, one, zero = w, 1.0, 0.0
-    phi_t = phi(t)
-    phi_wt = phi(wd * t)
-    ratio = (wd - 1.0) / wd
-    lead = (wd - 1.0) * ratio**n * phi_wt
-    power = one
-    rk = one
-    acc = zero
-    for _ in range(n):
-        rk = rk * ratio
-        power = power * phi_t
-        acc = acc + rk * power
-    residual = lead * power - (wd - 1.0) * phi_wt + acc
-    return _magnitude(residual)
+    return _magnitude(_characterization_residuals(n, w, phi(t), phi(w * t), n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +499,6 @@ def random_rationals(count, rng, bound=10**6, exclude=(0, 1)):
     return out
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
 def _reciprocal_exp_transform(rate):
     """Psi(t) = 1 + t/rate, the reciprocal of the exponential transform."""
 
@@ -564,8 +543,8 @@ def run_identity_checks(
         raise ParameterError(f"bracket_max_n must be >= 2, got {bracket_max_n}")
     float_max_n = check_positive_int(float_max_n, "float_max_n")
     grid_points = check_positive_int(grid_points, "grid_points")
-    ws = [_check_w(w) for w in float_ws]
-    rates = [_check_rate(rate) for rate in float_rates]
+    ws = [check_w(w) for w in float_ws]
+    rates = [check_positive_real(rate, "rate") for rate in float_rates]
     if not ws or not rates:
         raise ParameterError("float_ws and float_rates must each hold at least one value")
 
@@ -573,21 +552,10 @@ def run_identity_checks(
     pqs = [(v.numerator, v.denominator) for v in random_rationals(n_rationals, rng)]
     families = []
 
-    def binomial_family():
+    def binomial_family(shifts):
         checks = failures = 0
         for p, q in pqs:
-            for j in range(1, exact_max_n + 1):
-                for n, (lhs, rhs) in enumerate(_binomial_sides(exact_max_n, 0, j, p, q), 1):
-                    if n >= j:
-                        checks += 1
-                        if lhs - rhs != 0:
-                            failures += 1
-        return checks, failures, 0.0
-
-    def shifted_family():
-        checks = failures = 0
-        for p, q in pqs:
-            for m in range(0, shift_max_m + 1):
+            for m in shifts:
                 for j in range(1, exact_max_n + m + 1):
                     for n, (lhs, rhs) in enumerate(_binomial_sides(exact_max_n, m, j, p, q), 1):
                         if n + m >= j:
@@ -662,10 +630,10 @@ def run_identity_checks(
 
     specs = [
         ("binomial weighted sum", f"n<={exact_max_n}, j<=n, {n_rationals} rationals",
-         True, binomial_family),
+         True, lambda: binomial_family((0,))),
         ("shifted binomial weighted sum",
          f"n<={exact_max_n}, m<={shift_max_m}, j<=n+m, {n_rationals} rationals",
-         True, shifted_family),
+         True, lambda: binomial_family(range(shift_max_m + 1))),
         ("geometric weight gap vs closed form",
          f"n<={exact_max_n}, 2<=j<=n, {n_rationals} rationals", True, gap_family),
         ("series coefficient brackets",
@@ -682,7 +650,8 @@ def run_identity_checks(
          False, functional_equation_family),
     ]
     for name, sweep, exact, fn in specs:
-        (checks, failures, worst), elapsed = _timed(fn)
+        start = time.perf_counter()
+        checks, failures, worst = fn()
         families.append(
             FamilyReport(
                 name=name,
@@ -691,7 +660,7 @@ def run_identity_checks(
                 failures=failures,
                 worst_residual=worst,
                 exact=exact,
-                elapsed=elapsed,
+                elapsed=time.perf_counter() - start,
             )
         )
     return IdentityReport(families=families)

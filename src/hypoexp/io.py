@@ -14,15 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import (
-    EME,
-    Erlang,
-    Exponential,
-    Hypoexponential,
-    Sample,
-    family_name,
-    make_distribution,
-)
+from .distributions import FAMILIES, Sample, family_name, make_distribution
 from .errors import DataError, ParameterError
 
 
@@ -73,15 +65,13 @@ def write_samples(path, data):
 def dist_to_dict(dist):
     """Self-describing parameter record for a distribution."""
     family = family_name(dist)
-    if isinstance(dist, Exponential):
-        return {"family": family, "lambda": dist.rate}
-    if isinstance(dist, Erlang):
-        return {"family": family, "n": dist.n, "lambda": dist.rate}
-    if isinstance(dist, Hypoexponential):
-        return {"family": family, "rates": list(dist.rates)}
-    if isinstance(dist, EME):
-        return {"family": family, "n": dist.n, "lambda": dist.rate, "w": dist.w}
-    raise ParameterError(f"not a distribution: {dist!r}")
+    record = {"family": family}
+    for key in FAMILIES[family][2]:
+        value = getattr(dist, key)
+        record["lambda" if key == "rate" else key] = (
+            list(value) if isinstance(value, tuple) else value
+        )
+    return record
 
 
 def dist_from_dict(record):

@@ -162,6 +162,19 @@ class TestGof:
         assert code == 1
         assert "bootstrap_reps" in err
 
+    def test_infinite_grid_decay_is_domain_error(self, capsys, tmp_path):
+        # accepted before: every grid weight exp(-inf t) was 0, so p = 1
+        path = self._write_exp_sample(tmp_path, n=50)
+        code, _, err = run_cli(capsys, "gof", "--in", str(path), "--grid-decay", "inf")
+        assert code == 1
+        assert "grid_decay" in err
+
+    def test_fit_family_flag_is_gone(self, capsys, tmp_path):
+        path = self._write_exp_sample(tmp_path, n=50)
+        code, _, err = run_cli(capsys, "fit", "--in", str(path), "--family", "eme")
+        assert code == 2
+        assert "--family" in err
+
 
 class TestVerifyAndSimulate:
     def test_verify_quick(self, capsys):

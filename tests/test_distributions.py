@@ -1,5 +1,6 @@
 """Distribution families: densities, transforms, moments, sampling."""
 
+import json
 import math
 
 import numpy as np
@@ -14,11 +15,15 @@ from hypoexp import (
     Exponential,
     Hypoexponential,
     ParameterError,
+    dist_from_dict,
+    dist_to_dict,
+    family_name,
     hypoexp_weights,
-    moments,
+    make_distribution,
     regularized_upper_gamma,
 )
-from hypoexp.distributions import _eme_logpdf, _exp_tail_series
+from hypoexp.cli import main as cli_main
+from hypoexp.distributions import FAMILIES, FAMILY_ALIASES, _eme_logpdf, _exp_tail_series
 
 
 def _eme_logpdf_mp(mpmath, n, log_rate, log_w, x):
@@ -31,6 +36,18 @@ def _eme_logpdf_mp(mpmath, n, log_rate, log_w, x):
         mpmath.log(rate / w) - lx + n * mpmath.log(lx) - mpmath.loggamma(n + 1)
         + mpmath.log(mpmath.hyp1f1(1, n + 1, u))
     )
+
+def _eme_cdf_mp(mpmath, n, rate, w, x):
+    """CDF of EME(n, rate, w) at x from the closed partial-fraction form in
+    300 digits, which absorb its cancellation; v = w/(w-1)."""
+    with mpmath.workdps(300):
+        rate, w, x = mpmath.mpf(rate), mpmath.mpf(w), mpmath.mpf(x)
+        lx, v = rate * x, w / (w - 1)
+        total = v**n * (1 - mpmath.exp(-lx / w))
+        for k in range(n):
+            total -= v ** (n - k) * mpmath.gammainc(k + 1, 0, lx, regularized=True) / w
+        return float(total)
+
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -57,7 +74,8 @@ class TestExponential:
             assert dist.laplace(0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_moments(self):
-        assert moments(Exponential(2.0)) == (0.5, 0.25)
+        d = Exponential(2.0)
+        assert (d.mean, d.var) == (0.5, 0.25)
 
     def test_rejects_bad_rate(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
@@ -80,7 +98,8 @@ class TestErlang:
                                    Exponential(1.5).laplace(t) ** 5, rtol=1e-14)
 
     def test_moments(self):
-        assert moments(Erlang(3, 2.0)) == (1.5, 0.75)
+        d = Erlang(3, 2.0)
+        assert (d.mean, d.var) == (1.5, 0.75)
 
     def test_shape_one_is_exponential(self):
         x = np.linspace(0.0, 5.0, 21)
@@ -109,7 +128,8 @@ class TestHypoexponential:
         assert Hypoexponential((1.0, 2.0)).cdf(0.0) == 0.0
 
     def test_moments(self):
-        got = moments(Hypoexponential((1.0, 2.0)))
+        d = Hypoexponential((1.0, 2.0))
+        got = (d.mean, d.var)
         assert got[0] == pytest.approx(1.5, abs=1e-14)
         assert got[1] == pytest.approx(1.25, abs=1e-14)
 
@@ -189,7 +209,8 @@ class TestEME:
         assert d.cdf(5.0) == pytest.approx(val, abs=1e-9)
 
     def test_moments(self):
-        assert moments(EME(2, 1.0, 3.0)) == (5.0, 11.0)
+        d = EME(2, 1.0, 3.0)
+        assert (d.mean, d.var) == (5.0, 11.0)
 
     def test_laplace_value(self):
         assert EME(1, 1.0, 2.0).laplace(1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
@@ -283,6 +304,33 @@ class TestEME:
             assert gi == pytest.approx(float(want), rel=1e-12), xi
             assert d.cdf(float(xi)) == pytest.approx(float(want), rel=1e-12), xi
 
+    @pytest.mark.parametrize(
+        "n, rate, w, x",
+        [(20, 1.0, 0.45, 1e-3), (20, 1.0, 0.45, 0.3), (20, 1.0, 0.45, 2.0),
+         (5, 1.0, 3.0, 1e-3), (3, 2.0, 0.25, 1e-3), (2, 1.0, 4.0, 1e-3)],
+    )
+    def test_cdf_left_tail_against_mpmath(self, n, rate, w, x):
+        # the closed partial-fraction form cancelled here (EME(20, 1, 0.45)
+        # gave 5.8e-21 at x = 1e-3 for a true 4.3e-83); |u| <= n+1 now takes
+        # the series form
+        mpmath = pytest.importorskip("mpmath")
+        want = _eme_cdf_mp(mpmath, n, rate, w, x)
+        assert EME(n, rate, w).cdf(x) == pytest.approx(want, rel=1e-13)
+        assert EME(n, rate, w).cdf(np.array([x]))[0] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "n, rate, w",
+        [(20, 1.0, 0.45), (5, 1.0, 3.0), (3, 2.0, 0.25), (2, 1.0, 4.0), (1, 1.0, 0.3),
+         (4, 1.0, 0.5), (10, 1.0, 0.1), (30, 1.0, 0.01), (6, 1.0, 2.0), (3, 1.0, 1e-12)],
+    )
+    def test_cdf_bulk_against_mpmath(self, n, rate, w):
+        # left tail to upper bulk, across the |u| = n+1 split, on one vector call
+        mpmath = pytest.importorskip("mpmath")
+        d = EME(n, rate, w)
+        x = np.concatenate([np.geomspace(1e-4, 1.0, 12), np.linspace(0.05, 4.0, 24)]) * d.mean
+        for xi, gi in zip(x, d.cdf(x)):
+            assert gi == pytest.approx(_eme_cdf_mp(mpmath, n, rate, w, xi), rel=1e-13), xi
+
     def test_tail_series_raises_when_unconverged(self):
         # far outside its branch (|u| >> n+1) the terms grow past the cap
         with pytest.raises(ConvergenceError):
@@ -298,6 +346,86 @@ class TestEME:
             c = d.cdf(x)
             assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
             assert np.all(np.diff(c) >= -1e-15) and c[-1] <= 1.0
+
+
+# one example parameter set per registry entry
+FAMILY_EXAMPLES = {
+    "exponential": {"rate": 2.5},
+    "erlang": {"n": 4, "rate": 0.7},
+    "hypoexponential": {"rates": (1.0, 2.0, 4.5)},
+    "eme": {"n": 3, "rate": 1.25, "w": 0.4},
+}
+
+
+_CLI_FLAGS = {"rate": "--lambda", "n": "--n", "w": "--w", "rates": "--rates"}
+
+
+def _cli_flags(params):
+    argv = []
+    for key, value in params.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += [_CLI_FLAGS[key], text]
+    return argv
+
+
+class TestFamilyRegistry:
+    def test_every_family_has_an_example(self):
+        assert set(FAMILY_EXAMPLES) == set(FAMILIES)
+        for name, (_, _, keys) in FAMILIES.items():
+            assert set(FAMILY_EXAMPLES[name]) == set(keys)
+
+    @pytest.mark.parametrize("alias", sorted(FAMILY_ALIASES))
+    def test_make_distribution_by_name_and_alias(self, alias):
+        name = FAMILY_ALIASES[alias]
+        cls, aliases, _ = FAMILIES[name]
+        assert alias == name or alias in aliases
+        params = FAMILY_EXAMPLES[name]
+        dist = make_distribution(alias.upper(), **params, unused=1.0)
+        assert type(dist) is cls
+        assert dist == cls(**params)
+        assert family_name(dist) == name
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_missing_parameter_is_named(self, name):
+        for key in FAMILIES[name][2]:
+            params = {k: v for k, v in FAMILY_EXAMPLES[name].items() if k != key}
+            with pytest.raises(ParameterError, match=f"requires parameter {key!r}"):
+                make_distribution(name, **params)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_parameter_record_round_trip(self, name):
+        dist = make_distribution(name, **FAMILY_EXAMPLES[name])
+        record = dist_to_dict(dist)
+        assert record["family"] == name
+        assert json.loads(json.dumps(record)) == record
+        assert dist_from_dict(record) == dist
+
+    @pytest.mark.parametrize("alias", sorted(FAMILY_ALIASES))
+    def test_cli_eval_by_alias(self, alias, capsys):
+        name = FAMILY_ALIASES[alias]
+        params = FAMILY_EXAMPLES[name]
+        code = cli_main(["eval", "--dist", alias, *_cli_flags(params), "--x", "0.5",
+                         "--format", "structured"])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert record["family"] == alias
+        assert record["cdf"] == make_distribution(name, **params).cdf(0.5)
+
+    @pytest.mark.parametrize("alias", sorted(FAMILY_ALIASES))
+    def test_cli_missing_parameter_names_its_flag(self, alias, capsys):
+        params = FAMILY_EXAMPLES[FAMILY_ALIASES[alias]]
+        for key in params:
+            rest = {k: v for k, v in params.items() if k != key}
+            code = cli_main(["eval", "--dist", alias, *_cli_flags(rest), "--x", "0.5"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"{_CLI_FLAGS[key]} is required for --dist {alias}" in err
+
+    def test_unknown_family_and_non_distribution(self):
+        with pytest.raises(ParameterError, match="unknown distribution family"):
+            make_distribution("cauchy", rate=1.0)
+        with pytest.raises(ParameterError, match="not a distribution"):
+            family_name(object())
 
 
 class TestConsistencyAcrossFamilies:

@@ -14,7 +14,23 @@ from hypoexp import (
     gof_statistic,
     gof_test,
 )
-from hypoexp.gof import _bootstrap_rows, _grid_transforms, _residual_rows, _statistic_rows
+from hypoexp.gof import T_MAX, _bootstrap_rows, _grid_transforms, _statistic_rows
+from hypoexp.identities import _characterization_residuals
+
+
+def _residual_rows_reference(phi_t, phi_wt, n, w):
+    """The residual as gof evaluated it before the shared kernel: coefficient
+    powers ((w-1)/w)^k and transform powers phi(t)^k kept apart."""
+    ratio = (w - 1.0) / w
+    lead = (w - 1.0) * ratio**n
+    acc = np.zeros_like(phi_t)
+    power = np.ones_like(phi_t)
+    rk = 1.0
+    for _ in range(n):
+        rk *= ratio
+        power = power * phi_t
+        acc += rk * power
+    return lead * phi_wt * power - (w - 1.0) * phi_wt + acc
 
 
 class TestEmpiricalLaplace:
@@ -56,6 +72,61 @@ class TestConfig:
         with pytest.raises(ParameterError):
             GofConfig(level=0.0)
 
+    @pytest.mark.parametrize("decay", [math.inf, math.nan, 0.0, -1.0])
+    def test_grid_decay_must_be_finite_positive(self, decay):
+        # an infinite decay weighted every grid point by 0: statistic 0, p = 1
+        with pytest.raises(ParameterError, match="grid_decay"):
+            GofConfig(grid_decay=decay)
+
+    def test_bootstrap_reps_accepts_numpy_integers(self):
+        cfg = GofConfig(bootstrap_reps=np.int64(999))
+        assert type(cfg.bootstrap_reps) is int and cfg.bootstrap_reps == 999
+        for bad in (np.int64(98), 999.0, True):
+            with pytest.raises(ParameterError, match="bootstrap_reps"):
+                GofConfig(bootstrap_reps=bad)
+
+    def test_w_is_stored_as_float(self):
+        assert type(GofConfig(w=3).w) is float
+        for bad in (math.inf, 0.0, -2.0):
+            with pytest.raises(ParameterError, match="w must"):
+                GofConfig(w=bad)
+
+
+class TestResidualKernel:
+    @staticmethod
+    def _transforms(seed):
+        rng = np.random.default_rng(seed)
+        phi_t = rng.uniform(0.0, 1.0, (20, 64))
+        return phi_t, phi_t * rng.uniform(0.0, 1.0, (20, 64))
+
+    @pytest.mark.parametrize("w", [2.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_bit_identical_where_scale_factors_are_powers_of_two(self, n, w):
+        phi_t, phi_wt = self._transforms(n)
+        got = _characterization_residuals(n, w, phi_t, phi_wt, n)[0]
+        np.testing.assert_array_equal(got, _residual_rows_reference(phi_t, phi_wt, n, w))
+
+    @pytest.mark.parametrize("w", [2.5, 3.0, 10.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_rounding_level_elsewhere(self, n, w):
+        # the kernel scales phi(t) by (w-1)/w before taking powers, so the
+        # residual moves by rounding of its terms, whose sum of magnitudes
+        # sets the scale (the residual itself may cancel to ~0)
+        phi_t, phi_wt = self._transforms(n)
+        got = _characterization_residuals(n, w, phi_t, phi_wt, n)[0]
+        phi2 = np.abs((w - 1.0) / w * phi_t)
+        scale = (w - 1.0) * phi_wt * (1.0 + phi2**n) + sum(phi2**k for k in range(1, n + 1))
+        err = np.abs(got - _residual_rows_reference(phi_t, phi_wt, n, w)) / scale
+        assert err.max() <= 4e-15
+
+    def test_every_n_from_one_recurrence(self):
+        phi_t, phi_wt = self._transforms(0)
+        rows = _characterization_residuals(6, 3.0, phi_t, phi_wt, 2)
+        assert len(rows) == 5
+        for n, row in zip(range(2, 7), rows):
+            alone = _characterization_residuals(n, 3.0, phi_t, phi_wt, n)
+            np.testing.assert_array_equal(row, alone[0])
+
 
 class TestStatistic:
     def test_zero_with_exact_transform(self):
@@ -65,9 +136,9 @@ class TestStatistic:
         t = cfg.grid
         phi_t = (1.0 / (1.0 + t))[None, :]
         phi_wt = (1.0 / (1.0 + cfg.w * t))[None, :]
-        resid = _residual_rows(phi_t, phi_wt, cfg.n, cfg.w)
+        resid = _characterization_residuals(cfg.n, cfg.w, phi_t, phi_wt, cfg.n)[0]
         stat = 1e5 * (resid**2 * np.exp(-cfg.grid_decay * t)).sum() * (
-            cfg.t_max / cfg.grid_points
+            T_MAX / cfg.grid_points
         )
         assert stat < 1e-20
 
@@ -119,7 +190,7 @@ class TestStatistic:
         cfg = GofConfig()
         t, resid = gof_residual_curve(x, cfg)
         stat, _ = gof_statistic(x, cfg)
-        dt = cfg.t_max / cfg.grid_points
+        dt = T_MAX / cfg.grid_points
         assert stat == pytest.approx(
             x.size * (resid**2 * np.exp(-cfg.grid_decay * t)).sum() * dt, rel=1e-14
         )

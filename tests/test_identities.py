@@ -227,6 +227,20 @@ class TestTransformIdentities:
                     b = exp_lt_identity_residual(n, w, 1.0, float(t))
                     assert a < 1e-12 and b < 1e-12
 
+    def test_characterization_residual_is_the_product_identity(self):
+        # both run the one residual kernel: with the exponential transform in
+        # double-double the two public functions agree bit for bit
+        for rate in (1.0, 2.0):
+            def phi(t, rate=rate):
+                return DD(rate) / (DD(rate) + t)
+
+            for n in (1, 2, 5, 10):
+                for w in (0.1, 0.5, 2.0, 10.0):
+                    for t in np.linspace(0.0, 10.0, 11):
+                        a = characterization_residual(n, w, phi, DD(float(t)))
+                        b = exp_lt_identity_residual(n, w, rate, float(t))
+                        assert _bits(a) == _bits(b)
+
 
 class TestReciprocalSeries:
     def test_exponential_signature(self):

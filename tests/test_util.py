@@ -1,10 +1,10 @@
-"""The shared positive-integer validator and the callers that use it."""
+"""The shared validators and the callers that use them."""
 
 import numpy as np
 import pytest
 
 from hypoexp import EME, Erlang, GofConfig, ParameterError, regularized_upper_gamma
-from hypoexp._util import check_positive_int
+from hypoexp._util import check_positive_int, check_positive_real, check_w
 from hypoexp.identities import binomial_sum_residual
 
 
@@ -40,3 +40,18 @@ def test_gof_config_normalizes_numpy_integers():
     assert type(cfg.grid_points) is int and cfg.grid_points == 16
     with pytest.raises(ParameterError):
         GofConfig(n=True)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+def test_real_validators_reject_non_finite_and_non_positive(bad):
+    with pytest.raises(ParameterError, match=r"^rate must be a finite positive real"):
+        check_positive_real(bad, "rate")
+    with pytest.raises(ParameterError, match=r"^w must be positive, finite and != 1"):
+        check_w(bad)
+
+
+def test_real_validators_return_floats():
+    assert check_positive_real(np.int64(3), "rate") == 3.0
+    assert type(check_w(2)) is float
+    with pytest.raises(ParameterError):
+        check_w(1)
