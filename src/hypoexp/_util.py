@@ -1,5 +1,7 @@
-"""Small shared helpers: seeding, argument validation, data coercion."""
+"""Small shared helpers: seeding, argument validation, data coercion, and
+the deferred import of scipy."""
 
+import importlib
 import math
 from zlib import crc32
 
@@ -10,6 +12,27 @@ from .errors import DataError, ParameterError
 # Every CLI subcommand that consumes randomness falls back to this seed so
 # runs are reproducible out of the box.
 DEFAULT_SEED = 1729
+
+
+class LazyModule:
+    """Stand-in for the module ``name`` that imports it on the first
+    attribute read and caches each attribute it hands out on itself.
+
+    ``import hypoexp`` then loads no scipy module: ``verify`` and ``gof``
+    never call scipy, and importing ``scipy.special`` and ``scipy.optimize``
+    costs more than the rest of the start-up together.  After the first read
+    an attribute is a plain instance attribute, so a call through the
+    stand-in costs what a call through the module does."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        if attr.startswith("_"):  # own state, and copy/pickle/introspection probes
+            raise AttributeError(attr)
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
 
 
 def derive_rng(seed, *scope):

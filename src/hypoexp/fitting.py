@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
-from ._util import as_values, check_positive_int
+from ._util import LazyModule, as_values, check_positive_int
 from .distributions import EME, _eme_logpdf
 from .errors import ConvergenceError, DataError
+
+optimize = LazyModule("scipy.optimize")
 
 MAX_ITERATIONS = 500
 # The search converges when the largest component of the mean score (per

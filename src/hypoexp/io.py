@@ -1,8 +1,8 @@
 """File I/O: sample batches and distribution parameter records.
 
 Sample files are either plain text (one nonnegative decimal per line; blank
-lines and ``#`` comments ignored) or CSV with a header row and a named
-column.  Parameter records are JSON objects with a ``family`` key plus the
+lines and whole-line ``#`` comments ignored) or CSV with a header row and a
+named column.  Parameter records are JSON objects with a ``family`` key plus the
 family's parameters, e.g. ``{"family": "eme", "n": 2, "lambda": 1.0, "w": 3.0}``.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,18 @@ def read_samples(path, column=None):
             if cell:
                 values.append(_parse_value(cell, path))
         return Sample(np.asarray(values), label=f"{path}:{column}")
+    # One C parse serves files of bare values.  It refuses comment lines,
+    # literals such as 1_000 that float() accepts, malformed files and (as a
+    # warning) empty ones; those take the line loop, which reads every file
+    # the parse accepts to the same values.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        table = None
+    if table is not None and table.shape[1] == 1:
+        return Sample(table[:, 0], label=str(path))
     values = []
     for line in text.splitlines():
         line = line.strip()
@@ -81,8 +94,6 @@ def dist_from_dict(record):
     params = {k: v for k, v in record.items() if k != "family"}
     if "lambda" in params:
         params["rate"] = params.pop("lambda")
-    if "n" in params:
-        params["n"] = int(params["n"])
     return make_distribution(record["family"], **params)
 
 

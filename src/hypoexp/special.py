@@ -15,10 +15,11 @@ largest term (``partial_exp_sum``) and the Poisson weight in log form
 import math
 
 import numpy as np
-from scipy import special as sp_special
 
-from ._util import check_positive_int
+from ._util import LazyModule, check_positive_int
 from .errors import ParameterError
+
+sp_special = LazyModule("scipy.special")
 
 _LOG_MAX = math.log(np.finfo(float).max)  # ~709.78
 

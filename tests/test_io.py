@@ -1,5 +1,7 @@
 """Sample file formats and parameter serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from hypoexp import (
     Erlang,
     Exponential,
     Hypoexponential,
+    ParameterError,
     Sample,
     dist_from_dict,
     dist_to_dict,
     load_dist,
+    make_distribution,
     read_samples,
     save_dist,
     write_samples,
@@ -68,6 +72,94 @@ class TestSampleFiles:
         np.testing.assert_array_equal(read_samples(path).values, [1.0, 2.0])
 
 
+def _read_by_lines(path):
+    """The plain-text grammar spelled out: whole-line ``#`` comments, blank
+    lines skipped, one ``float()`` literal per line.  ``read_samples`` must
+    give the same values, or the same DataError, on every file."""
+    values = []
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise DataError(f"{path}: not a decimal value: {line!r}") from None
+    return Sample(np.asarray(values), label=str(path))
+
+
+def _outcome(read, path):
+    try:
+        return read(path).values.tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestPlainTextGrammar:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1\n2.5\n",
+            "# header\n1\n",
+            "1_000\n2\n",
+            "\u0661\u0662\n",
+            "1\r\n2\r\n",
+            "1\r2\n",
+            " 1 \n\t2\t\n",
+            "1\n\n\n2",
+            ".5\n5.\n+1.5E3\n1e-400\n-0\n",
+            "1\x0c2\n",
+            "1\u20282\n",
+            "1 2\n",
+            "1\n2 3\n",
+            "1,5\n",
+            "1 # trailing\n",
+            "0x10\n",
+            "nan\n",
+            "1e400\n",
+            "1\n-3\n",
+            "oops\n",
+            "",
+            "\n \n",
+            "# only a comment\n",
+        ],
+    )
+    def test_matches_the_line_grammar(self, text, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text(text, newline="")
+        assert _outcome(read_samples, path) == _outcome(_read_by_lines, path)
+
+    def test_random_short_files_match_the_line_grammar(self, tmp_path):
+        rng = np.random.default_rng(20240611)
+        alphabet = np.array(list("0123456789.eE+-_ \t#\nnaifx,"))
+        path = tmp_path / "values.txt"
+        for _ in range(1500):
+            path.write_text("".join(rng.choice(alphabet, rng.integers(1, 12))), newline="")
+            assert _outcome(read_samples, path) == _outcome(_read_by_lines, path), path.read_text()
+
+    def test_written_values_read_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.exponential(size=4000) * 10.0 ** rng.uniform(-300, 300, size=4000)
+        values[:3] = [0.0, 5e-324, 1.7976931348623157e308]
+        path = tmp_path / "values.txt"
+        write_samples(path, values)
+        assert read_samples(path).values.tobytes() == values.tobytes()
+
+    def test_bad_token_is_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0\n2.0 3.0\n")
+        with pytest.raises(DataError, match=r"not a decimal value: '2.0 3.0'"):
+            read_samples(path)
+
+    def test_empty_file_raises_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="empty"):
+                read_samples(path)
+        assert not caught
+
+
 class TestParameterRecords:
     @pytest.mark.parametrize(
         "dist",
@@ -99,3 +191,11 @@ class TestParameterRecords:
             dist_from_dict({"n": 2})
         with pytest.raises(ParameterError):
             dist_from_dict({"family": "cauchy"})
+
+    @pytest.mark.parametrize("family", ["erlang", "eme"])
+    @pytest.mark.parametrize("bad_n", [2.7, True, 2.0, "2"])
+    def test_stage_count_is_not_coerced(self, family, bad_n):
+        record = dist_to_dict(make_distribution(family, n=2, rate=1.0, w=3.0))
+        record["n"] = bad_n
+        with pytest.raises(ParameterError, match="n must be a positive integer"):
+            dist_from_dict(record)

@@ -55,3 +55,37 @@ def test_real_validators_return_floats():
     assert type(check_w(2)) is float
     with pytest.raises(ParameterError):
         check_w(1)
+
+
+def test_lazy_module_imports_on_first_read_and_caches():
+    import scipy.special
+
+    from hypoexp._util import LazyModule
+
+    lazy = LazyModule("scipy.special")
+    assert "gammaln" not in vars(lazy)
+    assert lazy.gammaln is scipy.special.gammaln
+    assert vars(lazy)["gammaln"] is scipy.special.gammaln
+    with pytest.raises(AttributeError):
+        lazy.no_such_function
+    with pytest.raises(AttributeError):
+        lazy.__wrapped__
+
+
+def test_library_calls_go_through_a_swappable_module_name(monkeypatch):
+    # a caller may replace hypoexp.fitting.optimize (the benchmark's tracer
+    # does, to count iterations) and the fit must go through the replacement
+    import hypoexp.fitting
+
+    calls = []
+    real = hypoexp.fitting.optimize
+
+    class Counting:
+        def minimize(self, *args, **kwargs):
+            calls.append(1)
+            return real.minimize(*args, **kwargs)
+
+    monkeypatch.setattr(hypoexp.fitting, "optimize", Counting())
+    sample = EME(2, 1.0, 3.0).sample(500, np.random.default_rng(3))
+    hypoexp.fitting.fit_eme(sample, n=2)
+    assert calls
