@@ -321,14 +321,11 @@ def _exp_tail_series(n, u, derivative=False):
     stops once the largest term, at max |u|, falls below 1e-18 of those.  At
     |u| = n + 1 the terms fall like exp(-j^2 / 2n), so about 9.4 sqrt(n)
     of them are needed; the cap leaves room above that."""
+    u_max = float(np.abs(u).max()) if u.size else 0.0
     limit = 1e-19 / (n + 1) if derivative else 1e-19
-    one = u.size == 1
-    if one:  # as in a scalar pdf call: Python floats skip the per-term array overhead
-        u = float(u[0])
-        u_max, term, acc, dacc = abs(u), 1.0, 1.0, 0.0
-    else:
-        u_max = float(np.abs(u).max()) if u.size else 0.0
-        term, acc, dacc = np.ones_like(u), np.ones_like(u), np.zeros_like(u)
+    term = np.ones_like(u)
+    acc = np.ones_like(u)
+    dacc = np.zeros_like(u)
     bound = 1.0
     for j in range(1, math.ceil(10.0 * math.sqrt(n)) + 600):
         if derivative:
@@ -343,8 +340,6 @@ def _exp_tail_series(n, u, derivative=False):
         raise ConvergenceError(
             f"EME series for n={n} did not converge in {j} terms (max |u| = {u_max:.6g})"
         )
-    if one:
-        acc, dacc = np.array([acc]), np.array([dacc])
     return (acc, dacc) if derivative else acc
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +42,17 @@ def read_samples(path, column=None):
             if cell:
                 values.append(_parse_value(cell, path))
         return Sample(np.asarray(values), label=f"{path}:{column}")
-    # One C parse serves files of bare values.  It refuses comment lines,
-    # literals such as 1_000 that float() accepts, malformed files and (as a
-    # warning) empty ones; those take the line loop, which reads every file
-    # the parse accepts to the same values.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(path, comments=None, ndmin=2)
-    except (ValueError, UserWarning):
-        table = None
-    if table is not None and table.shape[1] == 1:
-        return Sample(table[:, 0], label=str(path))
+    # Files of bare values, one per line, take one C parse of the text read
+    # above.  Comment lines and blank files skip it; literals such as 1_000
+    # that float() accepts and malformed files fail it.  All of those take the
+    # line loop, which reads every file the parse accepts to the same values.
+    if text.strip() and "#" not in text:
+        try:
+            table = np.loadtxt(StringIO(text), comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is not None and table.shape[1] == 1:
+            return Sample(table[:, 0], label=str(path))
     values = []
     for line in text.splitlines():
         line = line.strip()

@@ -331,34 +331,6 @@ class TestEME:
         for xi, gi in zip(x, d.cdf(x)):
             assert gi == pytest.approx(_eme_cdf_mp(mpmath, n, rate, w, xi), rel=1e-13), xi
 
-    @pytest.mark.parametrize("derivative", [False, True])
-    def test_tail_series_one_point_matches_array_arithmetic(self, derivative):
-        # one point runs on Python floats; [u, u] runs the array loop with
-        # the same stopping bound, so the two must agree bit for bit
-        for n in (1, 2, 3, 20):
-            for u in np.linspace(-(n + 1.0), n + 1.0, 41):
-                one = _exp_tail_series(n, np.array([u]), derivative=derivative)
-                two = _exp_tail_series(n, np.array([u, u]), derivative=derivative)
-                for a, b in zip(one if derivative else (one,), two if derivative else (two,)):
-                    assert a.shape == (1,) and a.dtype == np.float64
-                    assert a[0].tobytes() == b[0].tobytes(), (n, u)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 20])
-    @pytest.mark.parametrize("w", [0.25, 0.999999, 1.0, 3.0])
-    def test_scalar_one_point_and_vector_calls_agree_bitwise(self, n, w):
-        d = EME(n, 1.3, w)
-        x = np.linspace(0.0, 4.0 * d.mean, 25)
-        pdf, logpdf = d.pdf(x), d.logpdf(x)
-        score = _eme_logpdf(n, d.rate, w, x, score=True)
-        for i, xi in enumerate(x):
-            point = x[i : i + 1]
-            for got in (d.pdf(float(xi)), d.pdf(point)[0]):
-                assert np.float64(got).tobytes() == pdf[i].tobytes(), xi
-            for got in (d.logpdf(float(xi)), d.logpdf(point)[0]):
-                assert np.float64(got).tobytes() == logpdf[i].tobytes(), xi
-            for part, whole in zip(_eme_logpdf(n, d.rate, w, point, score=True), score):
-                assert part[0].tobytes() == whole[i].tobytes(), xi
-
     def test_tail_series_raises_when_unconverged(self):
         # far outside its branch (|u| >> n+1) the terms grow past the cap
         with pytest.raises(ConvergenceError):

@@ -88,10 +88,13 @@ def _read_by_lines(path):
 
 
 def _outcome(read, path):
-    try:
-        return read(path).values.tobytes()
-    except DataError as exc:
-        return str(exc)
+    # any warning (such as loadtxt's "input contained no data") fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read(path).values.tobytes()
+        except DataError as exc:
+            return str(exc)
 
 
 class TestPlainTextGrammar:
@@ -120,7 +123,9 @@ class TestPlainTextGrammar:
             "oops\n",
             "",
             "\n \n",
+            " \t\x0b\x0c\u3000\n",
             "# only a comment\n",
+            "1\n2\n# trailing comment line\n",
         ],
     )
     def test_matches_the_line_grammar(self, text, tmp_path):
