@@ -26,6 +26,7 @@ from .distributions import (
     Exponential,
     Hypoexponential,
     Sample,
+    StageSum,
     family_name,
     hypoexp_weights,
     make_distribution,
@@ -92,6 +93,7 @@ __all__ = [
     "Exponential",
     "Hypoexponential",
     "Sample",
+    "StageSum",
     "family_name",
     "hypoexp_weights",
     "make_distribution",

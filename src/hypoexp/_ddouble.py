@@ -19,8 +19,6 @@ element; scalar and array operands mix freely.  Comparisons, ``hash`` and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, splits a 53-bit significand in half
@@ -191,6 +189,3 @@ class DD:
 
     def __repr__(self):
         return f"DD({self.hi!r}, {self.lo!r})"
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.hi) and math.isfinite(self.lo)

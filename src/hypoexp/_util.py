@@ -7,7 +7,7 @@ from zlib import crc32
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, DomainError, ParameterError
 
 # Every CLI subcommand that consumes randomness falls back to this seed so
 # runs are reproducible out of the box.
@@ -67,6 +67,20 @@ def check_positive_real(value, name):
     return value
 
 
+def check_rates(rates, name, least=1):
+    """``rates`` as a tuple of floats; ParameterError unless it is one rate
+    or a 1-D sequence of at least ``least`` finite positive reals."""
+    try:
+        arr = np.atleast_1d(np.asarray(rates, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name}s must be a sequence of reals, got {rates!r}") from exc
+    if arr.ndim != 1:
+        raise ParameterError(f"{name}s must be one-dimensional, got shape {arr.shape}")
+    if arr.size < least:
+        raise ParameterError(f"need at least {least} {name}(s), got {arr.size}")
+    return tuple(check_positive_real(r, name) for r in arr)
+
+
 def check_w(w):
     """The odd-stage multiplier ``w`` as a float; ParameterError unless it is
     finite, positive and != 1 (at w = 1 the characterization is empty)."""
@@ -74,6 +88,17 @@ def check_w(w):
     if not math.isfinite(w) or w <= 0.0 or w == 1.0:
         raise ParameterError(f"w must be positive, finite and != 1, got {w!r}")
     return w
+
+
+def as_points(x, name="x"):
+    """Evaluation points: a float for a scalar ``x``, else a float64 array of
+    its shape; DomainError unless every point is finite and nonnegative."""
+    arr = np.asarray(x, dtype=float)
+    ok = (arr >= 0.0) & (arr < math.inf)
+    if not ok.all():
+        bad = float(arr[~ok].flat[0])
+        raise DomainError(f"{name} must be finite and nonnegative, got {bad!r}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def as_values(data, require_positive=False, what="data"):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_values, check_positive_int, check_positive_real
-from .distributions import Sample, _std_exp
+from ._util import as_values, check_positive_int, check_rates
+from .distributions import Sample, StageSum
 from .errors import ParameterError
 
 # Asymptotic 1% Kolmogorov-Smirnov critical constant: pass below 1.63/sqrt(N).
@@ -24,27 +24,21 @@ KS_CRITICAL_1PCT = 1.63
 
 
 @dataclass(frozen=True)
-class StageChain:
-    """Ordered transient stages; ``rates[i]`` is the rate of leaving stage i."""
+class StageChain(StageSum):
+    """Ordered transient stages; ``rates[i]`` is the rate of leaving stage i.
+    The absorption time is the stage sum with these rates."""
 
     rates: tuple
 
     def __post_init__(self):
-        rates = tuple(check_positive_real(r, "stage rate") for r in np.atleast_1d(self.rates))
-        if not rates:
-            raise ParameterError("a chain needs at least one stage")
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", check_rates(self.rates, "stage rate"))
 
     def __len__(self):
         return len(self.rates)
 
     @property
-    def mean(self):
-        return float(np.sum(1.0 / np.asarray(self.rates)))
-
-    @property
-    def var(self):
-        return float(np.sum(1.0 / np.asarray(self.rates) ** 2))
+    def stage_rates(self):
+        return np.asarray(self.rates)
 
 
 def eme_chain(k, rate_main, rate_last):
@@ -60,10 +54,7 @@ def eme_chain(k, rate_main, rate_last):
 def simulate_absorption(chain, count, rng, label=None):
     """Absorption times: per draw, the sum of one exponential holding time per
     stage (inverse-CDF sampling; deterministic given the generator state)."""
-    count = check_positive_int(count, "count")
-    rates = np.asarray(chain.rates)
-    times = (_std_exp(rng, (count, rates.size)) / rates).sum(axis=1)
-    return Sample(times, label if label is not None else f"absorption{chain.rates}")
+    return chain.sample(count, rng, label if label is not None else f"absorption{chain.rates}")
 
 
 def ks_distance(data, dist):
@@ -72,7 +63,6 @@ def ks_distance(data, dist):
     x = np.sort(as_values(data))
     n = x.size
     cdf = dist.cdf(x)
-    cdf = np.atleast_1d(cdf)
     grid = np.arange(1, n + 1) / n
     return float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
 

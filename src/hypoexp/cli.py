@@ -337,7 +337,7 @@ def _apply_config(argv):
     path = argv[idx + 1]
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"--config: cannot read {path}: {exc}") from exc
     injected = []
     for line in text.splitlines():

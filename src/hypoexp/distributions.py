@@ -1,21 +1,30 @@
 """Exponential, Erlang, distinct-rate hypoexponential, and exponentially
 modified Erlang (EME) distributions.
 
-Every family supports ``pdf``, ``cdf``, ``laplace`` (the Laplace transform
-``E[exp(-t X)]``), ``mean``/``var``, and inverse-CDF ``sample``.  All
-evaluation methods are pure and thread-safe; sampling mutates only the
-generator passed in.
+Each family is a sum of independent exponential stages (``StageSum``): it
+gives its ``stage_rates`` and its ``pdf``/``cdf``, and the base derives
+``mean``/``var``, ``laplace`` (the Laplace transform ``E[exp(-t X)]``) and
+inverse-CDF ``sample`` from the rates.  All evaluation methods are pure and
+thread-safe; sampling mutates only the generator passed in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import LazyModule, as_values, check_positive_int, check_positive_real
-from .errors import ConvergenceError, DomainError, ParameterError
+from ._util import (
+    LazyModule,
+    as_points,
+    as_values,
+    check_positive_int,
+    check_positive_real,
+    check_rates,
+)
+from .errors import ConvergenceError, ParameterError
 from .special import log_poisson_weight, partial_exp_sum
 
 sp_special = LazyModule("scipy.special")
@@ -33,19 +42,19 @@ ERLANG_LIMIT_TOL = 1e-6
 _EPS = np.finfo(float).eps
 
 
-def _as_points(x, name="x"):
-    """Validate evaluation points; returns (array, was_scalar)."""
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(arr < 0.0):
-        raise DomainError(f"{name} must be nonnegative, got min {arr.min()!r}")
-    return arr, scalar
+def _pointwise(method):
+    """Check the points of ``method(self, x)`` with ``as_points``; the method
+    sees a float64 array, and a scalar point gets a float back."""
+    name = "t" if method.__name__ == "laplace" else "x"
 
+    @functools.wraps(method)
+    def checked(self, x):
+        x = as_points(x, name)
+        if isinstance(x, float):
+            return float(method(self, np.array([x]))[0])
+        return method(self, x)
 
-def _ret(values, scalar):
-    return float(values[0]) if scalar else values
+    return checked
 
 
 def _std_exp(rng, shape):
@@ -71,8 +80,39 @@ class Sample:
         return np.asarray(self.values, dtype=dtype)
 
 
+class StageSum:
+    """Sum of independent exponential stages, stage i at rate
+    ``stage_rates[i]``.  A subclass gives ``stage_rates``; the moments, the
+    Laplace transform and the draws follow from it."""
+
+    @property
+    def mean(self):
+        return float(np.sum(1.0 / self.stage_rates))
+
+    @property
+    def var(self):
+        return float(np.sum(1.0 / self.stage_rates**2))
+
+    @_pointwise
+    def laplace(self, t):
+        lam = self.stage_rates
+        return (lam / (lam + t[..., None])).prod(axis=-1)
+
+    def sample(self, count, rng, label=None):
+        count = check_positive_int(count, "count")
+        draws = _std_exp(rng, (count, self.stage_rates.size))
+        return Sample(self._sum_stages(draws), label if label is not None else repr(self))
+
+    def _sum_stages(self, draws):
+        """One value per row of standard exponential draws, one column per
+        stage.  Divides in place: the draws are the caller's scratch, and a
+        copy would double the peak memory of a large sample."""
+        draws /= self.stage_rates
+        return draws.sum(axis=1)
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(StageSum):
     """Exponential distribution with density rate * exp(-rate * x)."""
 
     rate: float
@@ -81,33 +121,20 @@ class Exponential:
         object.__setattr__(self, "rate", check_positive_real(self.rate, "rate"))
 
     @property
-    def mean(self):
-        return 1.0 / self.rate
+    def stage_rates(self):
+        return np.array([self.rate])
 
-    @property
-    def var(self):
-        return 1.0 / self.rate**2
-
+    @_pointwise
     def pdf(self, x):
-        x, scalar = _as_points(x)
-        return _ret(self.rate * np.exp(-self.rate * x), scalar)
+        return self.rate * np.exp(-self.rate * x)
 
+    @_pointwise
     def cdf(self, x):
-        x, scalar = _as_points(x)
-        return _ret(-np.expm1(-self.rate * x), scalar)
-
-    def laplace(self, t):
-        t, scalar = _as_points(t, name="t")
-        return _ret(self.rate / (self.rate + t), scalar)
-
-    def sample(self, count, rng, label=None):
-        count = check_positive_int(count, "count")
-        values = _std_exp(rng, count) / self.rate
-        return Sample(values, label if label is not None else repr(self))
+        return -np.expm1(-self.rate * x)
 
 
 @dataclass(frozen=True)
-class Erlang:
+class Erlang(StageSum):
     """Sum of ``n`` independent Exponential(rate) stages."""
 
     n: int
@@ -118,18 +145,14 @@ class Erlang:
         object.__setattr__(self, "rate", check_positive_real(self.rate, "rate"))
 
     @property
-    def mean(self):
-        return self.n / self.rate
+    def stage_rates(self):
+        return np.full(self.n, self.rate)
 
-    @property
-    def var(self):
-        return self.n / self.rate**2
-
+    @_pointwise
     def pdf(self, x):
-        x, scalar = _as_points(x)
         n, lam = self.n, self.rate
         if n == 1:
-            return _ret(lam * np.exp(-lam * x), scalar)
+            return lam * np.exp(-lam * x)
         out = np.zeros_like(x)
         pos = x > 0.0
         xp = x[pos]
@@ -137,20 +160,14 @@ class Erlang:
             out[pos] = np.exp(
                 n * math.log(lam) + (n - 1) * np.log(xp) - lam * xp - math.lgamma(n)
             )
-        return _ret(out, scalar)
+        return out
 
+    @_pointwise
     def cdf(self, x):
-        x, scalar = _as_points(x)
-        return _ret(sp_special.gammainc(self.n, self.rate * x), scalar)
+        return sp_special.gammainc(self.n, self.rate * x)
 
-    def laplace(self, t):
-        t, scalar = _as_points(t, name="t")
-        return _ret((self.rate / (self.rate + t)) ** self.n, scalar)
-
-    def sample(self, count, rng, label=None):
-        count = check_positive_int(count, "count")
-        values = _std_exp(rng, (count, self.n)).sum(axis=1) / self.rate
-        return Sample(values, label if label is not None else repr(self))
+    def _sum_stages(self, draws):
+        return draws.sum(axis=1) / self.rate
 
 
 def hypoexp_weights(rates):
@@ -169,7 +186,7 @@ def hypoexp_weights(rates):
 
 
 @dataclass(frozen=True)
-class Hypoexponential:
+class Hypoexponential(StageSum):
     """Sum of independent exponentials with pairwise-distinct rates.
 
     Construction rejects rate pairs with relative gap below
@@ -181,9 +198,7 @@ class Hypoexponential:
     weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rates = tuple(check_positive_real(r, "rate") for r in np.atleast_1d(self.rates))
-        if len(rates) < 2:
-            raise ParameterError("Hypoexponential needs at least two rates")
+        rates = check_rates(self.rates, "rate", least=2)
         lam = np.asarray(rates)
         gap = np.abs(lam[:, None] - lam[None, :])
         rel = gap / np.maximum(lam[:, None], lam[None, :])
@@ -205,43 +220,25 @@ class Hypoexponential:
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
 
     @property
-    def mean(self):
-        return float(np.sum(1.0 / np.asarray(self.rates)))
+    def stage_rates(self):
+        return np.asarray(self.rates)
 
-    @property
-    def var(self):
-        return float(np.sum(1.0 / np.asarray(self.rates) ** 2))
-
+    @_pointwise
     def pdf(self, x):
-        x, scalar = _as_points(x)
-        lam = np.asarray(self.rates)
-        w = np.asarray(self.weights)
-        vals = np.exp(-np.outer(x, lam)) @ (w * lam)
-        return _ret(np.maximum(vals, 0.0), scalar)
+        lam = self.stage_rates
+        vals = np.exp(-np.outer(x, lam)) @ (np.asarray(self.weights) * lam)
+        return np.maximum(vals, 0.0).reshape(x.shape)
 
+    @_pointwise
     def cdf(self, x):
         # 1 - sum_j l_j exp(-rate_j x), evaluated as -sum_j l_j expm1(-rate_j x)
         # so that F(0) = 0 exactly
-        x, scalar = _as_points(x)
-        lam = np.asarray(self.rates)
-        w = np.asarray(self.weights)
-        vals = -np.expm1(-np.outer(x, lam)) @ w
-        return _ret(np.clip(vals, 0.0, 1.0), scalar)
-
-    def laplace(self, t):
-        t, scalar = _as_points(t, name="t")
-        lam = np.asarray(self.rates)
-        return _ret((lam / (lam + t[:, None])).prod(axis=1), scalar)
-
-    def sample(self, count, rng, label=None):
-        count = check_positive_int(count, "count")
-        lam = np.asarray(self.rates)
-        values = (_std_exp(rng, (count, lam.size)) / lam).sum(axis=1)
-        return Sample(values, label if label is not None else repr(self))
+        vals = -np.expm1(-np.outer(x, self.stage_rates)) @ np.asarray(self.weights)
+        return np.clip(vals, 0.0, 1.0).reshape(x.shape)
 
 
 @dataclass(frozen=True)
-class EME:
+class EME(StageSum):
     """Exponentially modified Erlang: X_1 + ... + X_n + w * X_{n+1} with the
     X_i independent Exponential(rate).
 
@@ -266,6 +263,10 @@ class EME:
         object.__setattr__(self, "w", check_positive_real(self.w, "w"))
 
     @property
+    def stage_rates(self):
+        return np.append(np.full(self.n, self.rate), self.rate / self.w)
+
+    @property
     def is_erlang_limit(self):
         """True when w is within ERLANG_LIMIT_TOL of 1 (Erlang(n+1) regime)."""
         return abs(self.w - 1.0) < ERLANG_LIMIT_TOL
@@ -275,40 +276,20 @@ class EME:
         """Scale of the incomplete-gamma argument: rate * (w - 1) / w."""
         return self.rate * (self.w - 1.0) / self.w
 
-    @property
-    def mean(self):
-        return (self.n + self.w) / self.rate
-
-    @property
-    def var(self):
-        return (self.n + self.w**2) / self.rate**2
-
+    @_pointwise
     def logpdf(self, x):
-        x, scalar = _as_points(x)
-        out = _eme_logpdf(self.n, self.rate, self.w, x)
-        return _ret(out, scalar)
+        return _eme_logpdf(self.n, self.rate, self.w, x)
 
+    @_pointwise
     def pdf(self, x):
-        x, scalar = _as_points(x)
-        out = np.exp(_eme_logpdf(self.n, self.rate, self.w, x))
-        return _ret(out, scalar)
+        return np.exp(_eme_logpdf(self.n, self.rate, self.w, x))
 
+    @_pointwise
     def cdf(self, x):
-        x, scalar = _as_points(x)
-        return _ret(_eme_cdf(self.n, self.rate, self.w, x), scalar)
+        return _eme_cdf(self.n, self.rate, self.w, x)
 
-    def laplace(self, t):
-        # product of the component transforms: Exp(rate/w) times Erlang(n, rate)
-        t, scalar = _as_points(t, name="t")
-        odd = self.rate / self.w
-        vals = (odd / (odd + t)) * (self.rate / (self.rate + t)) ** self.n
-        return _ret(vals, scalar)
-
-    def sample(self, count, rng, label=None):
-        count = check_positive_int(count, "count")
-        draws = _std_exp(rng, (count, self.n + 1))
-        values = (draws[:, : self.n].sum(axis=1) + self.w * draws[:, self.n]) / self.rate
-        return Sample(values, label if label is not None else repr(self))
+    def _sum_stages(self, draws):
+        return (draws[:, :-1].sum(axis=1) + self.w * draws[:, -1]) / self.rate
 
 
 def _exp_tail_series(n, u, derivative=False):

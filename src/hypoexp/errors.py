@@ -9,7 +9,7 @@ class ParameterError(HypoexpError, ValueError):
     """A distribution or configuration parameter violates its invariants."""
 
 
-class DomainError(HypoexpError, ValueError):
+class DomainError(ParameterError):
     """An evaluation point lies outside the domain of the operation."""
 
 

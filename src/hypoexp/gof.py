@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_SEED, as_values, check_positive_int, check_positive_real, check_w
+from ._util import (
+    DEFAULT_SEED,
+    as_points,
+    as_values,
+    check_positive_int,
+    check_positive_real,
+    check_w,
+)
 from .errors import DataError, ParameterError
 from .identities import _characterization_residuals
 
@@ -101,13 +108,12 @@ class GofResult:
 
 
 def empirical_laplace(data, t):
-    """Empirical Laplace transform (1/N) sum_i exp(-t x_i), t >= 0."""
+    """Empirical Laplace transform (1/N) sum_i exp(-t x_i), t >= 0; a float
+    for a scalar ``t``, else an array of t's shape."""
     x = as_values(data)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
-        raise ParameterError("t must be finite and nonnegative")
-    vals = np.exp(-x[None, :] * t_arr[:, None]).mean(axis=1)
-    return float(vals[0]) if np.isscalar(t) or np.ndim(t) == 0 else vals
+    t = as_points(t, "t")
+    vals = np.exp(-np.multiply.outer(t, x)).mean(axis=-1)
+    return float(vals) if isinstance(t, float) else vals
 
 
 def _grid_means(y, step, exponents):

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._ddouble import DD
-from ._util import check_positive_int, check_positive_real, check_w
+from ._util import as_points, check_positive_int, check_positive_real, check_w
 from .errors import ParameterError
 
 __all__ = [
@@ -249,20 +249,6 @@ def series_coefficient_brackets(n, j, v):
 # transform-level identities (double-double floating point)
 # ---------------------------------------------------------------------------
 
-def _check_nonneg(t, name="t"):
-    """A float, or a float64 array when ``t`` is an ndarray, every entry
-    finite and nonnegative."""
-    if isinstance(t, np.ndarray):
-        t = np.asarray(t, dtype=float)
-        ok = bool(np.all(np.isfinite(t) & (t >= 0.0)))
-    else:
-        t = float(t)
-        ok = math.isfinite(t) and t >= 0.0
-    if not ok:
-        raise ParameterError(f"{name} must be a finite nonnegative real, got {t!r}")
-    return t
-
-
 def _magnitude(x):
     """|x| of a residual: a float, or a float64 array for array components."""
     if isinstance(x, DD):
@@ -316,7 +302,7 @@ def exp_lt_identity_residual(n, w, rate, t):
     """
     n = check_positive_int(n, "n")
     w, rate = check_w(w), check_positive_real(rate, "rate")
-    return _lt_identity_residuals(n, w, rate, _check_nonneg(t), n)[0]
+    return _lt_identity_residuals(n, w, rate, as_points(t, "t"), n)[0]
 
 
 def partial_fraction_residual(w, t):
@@ -325,7 +311,7 @@ def partial_fraction_residual(w, t):
     the return value is rounding noise below 1e-14 on any sane (w, t).
     An array ``t`` gives an array of residuals."""
     w = check_w(w)
-    t = _check_nonneg(t)
+    t = as_points(t, "t")
     wd = DD(w)
     td = DD(t)
     lhs = (wd - 1.0) / ((1.0 + wd * td) * (1.0 + td))
@@ -373,7 +359,7 @@ def functional_equation_residual(n, w, psi, t):
     n = check_positive_int(n, "n")
     w = check_w(w)
     if not isinstance(t, DD):
-        t = _check_nonneg(t)
+        t = as_points(t, "t")
     return _functional_equation_residuals(n, w, psi, t, n)[0]
 
 
@@ -393,7 +379,7 @@ def characterization_residual(n, w, phi, t):
     if isinstance(t, DD):
         w = DD(w)
     else:
-        t = _check_nonneg(t)
+        t = as_points(t, "t")
     return _magnitude(_characterization_residuals(n, w, phi(t), phi(w * t), n)[0])
 
 

@@ -28,7 +28,7 @@ def read_samples(path, column=None):
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if column is not None:
         values = []
@@ -103,6 +103,6 @@ def save_dist(path, dist):
 def load_dist(path):
     try:
         record = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load parameters from {path}: {exc}") from exc
     return dist_from_dict(record)

@@ -226,6 +226,14 @@ class TestVerifyAndSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--stages", "1,-1", "--count", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("subcommand", ["fit", "gof"])
+    def test_non_utf8_sample_file_is_data_error(self, capsys, tmp_path, subcommand):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\n1.0\n")
+        code, _, err = run_cli(capsys, subcommand, "--in", str(path))
+        assert code == 1
+        assert err.startswith("error: cannot read")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
@@ -239,6 +247,14 @@ class TestConfigFile:
                                 "--config", str(cfg))
         assert code == 0
         assert len(out2.strip().splitlines()) == 4  # config beats parser default
+
+    def test_non_utf8_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe count = 4\n")
+        code, _, err = run_cli(capsys, "sample", "--dist", "exp", "--lambda", "1",
+                               "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("usage error: --config: cannot read")
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert run_cli(capsys)[0] == 2

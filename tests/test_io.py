@@ -66,6 +66,13 @@ class TestSampleFiles:
         with pytest.raises(DataError):
             read_samples(tmp_path / "nope.txt")
 
+    @pytest.mark.parametrize("column", [None, "x"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, column):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\n1.0\n")
+        with pytest.raises(DataError, match="cannot read"):
+            read_samples(path, column=column)
+
     def test_write_accepts_sample(self, tmp_path):
         path = tmp_path / "s.txt"
         write_samples(path, Sample(np.array([1.0, 2.0]), label="x"))
@@ -188,6 +195,12 @@ class TestParameterRecords:
         assert dist_to_dict(Exponential(2.0)) == {"family": "exponential", "lambda": 2.0}
         rec = dist_to_dict(EME(2, 1.0, 3.0))
         assert rec == {"family": "eme", "n": 2, "lambda": 1.0, "w": 3.0}
+
+    def test_non_utf8_record_is_data_error(self, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(DataError, match="cannot load parameters"):
+            load_dist(path)
 
     def test_bad_record(self):
         from hypoexp import ParameterError
