@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_values, check_positive_int, check_rates
-from .distributions import Sample, StageSum
+from .distributions import Sample, StageSum, distinct_stages
 from .errors import ParameterError
 
 # Asymptotic 1% Kolmogorov-Smirnov critical constant: pass below 1.63/sqrt(N).
@@ -37,8 +37,8 @@ class StageChain(StageSum):
         return len(self.rates)
 
     @property
-    def stage_rates(self):
-        return np.asarray(self.rates)
+    def stages(self):
+        return distinct_stages(self.rates)
 
 
 def eme_chain(k, rate_main, rate_last):

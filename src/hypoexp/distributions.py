@@ -2,9 +2,9 @@
 modified Erlang (EME) distributions.
 
 Each family is a sum of independent exponential stages (``StageSum``): it
-gives its ``stage_rates`` and its ``pdf``/``cdf``, and the base derives
-``mean``/``var``, ``laplace`` (the Laplace transform ``E[exp(-t X)]``) and
-inverse-CDF ``sample`` from the rates.  All evaluation methods are pure and
+gives its ``stages`` (each stage rate and how many stages run at it) and its
+``pdf``/``cdf``, and the base derives ``mean``/``var``, ``laplace`` (the
+Laplace transform ``E[exp(-t X)]``) and inverse-CDF ``sample`` from them.  All evaluation methods are pure and
 thread-safe; sampling mutates only the generator passed in.
 """
 
@@ -45,7 +45,7 @@ _EPS = np.finfo(float).eps
 def _pointwise(method):
     """Check the points of ``method(self, x)`` with ``as_points``; the method
     sees a float64 array, and a scalar point gets a float back."""
-    name = "t" if method.__name__ == "laplace" else "x"
+    name = method.__code__.co_varnames[1]
 
     @functools.wraps(method)
     def checked(self, x):
@@ -81,26 +81,34 @@ class Sample:
 
 
 class StageSum:
-    """Sum of independent exponential stages, stage i at rate
-    ``stage_rates[i]``.  A subclass gives ``stage_rates``; the moments, the
-    Laplace transform and the draws follow from it."""
+    """Sum of independent exponential stages.  A subclass gives ``stages``:
+    the rates ``lam`` and how many stages ``m`` run at each.  The moments and
+    the Laplace transform follow in O(len(lam)), so n equal stages cost one
+    power, and the draws from the expanded ``stage_rates``."""
+
+    @property
+    def stage_rates(self):
+        """The rate of every stage, equal stages repeated."""
+        return np.repeat(*self.stages)
 
     @property
     def mean(self):
-        return float(np.sum(1.0 / self.stage_rates))
+        lam, m = self.stages
+        return float(np.sum(m / lam))
 
     @property
     def var(self):
-        return float(np.sum(1.0 / self.stage_rates**2))
+        lam, m = self.stages
+        return float(np.sum(m / lam**2))
 
     @_pointwise
     def laplace(self, t):
-        lam = self.stage_rates
-        return (lam / (lam + t[..., None])).prod(axis=-1)
+        lam, m = self.stages
+        return ((lam / (lam + t[..., None])) ** m).prod(axis=-1)
 
     def sample(self, count, rng, label=None):
         count = check_positive_int(count, "count")
-        draws = _std_exp(rng, (count, self.stage_rates.size))
+        draws = _std_exp(rng, (count, int(self.stages[1].sum())))
         return Sample(self._sum_stages(draws), label if label is not None else repr(self))
 
     def _sum_stages(self, draws):
@@ -109,6 +117,11 @@ class StageSum:
         copy would double the peak memory of a large sample."""
         draws /= self.stage_rates
         return draws.sum(axis=1)
+
+
+def distinct_stages(rates):
+    """``StageSum.stages`` for one stage at each of ``rates``."""
+    return np.asarray(rates), np.ones(len(rates), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -121,8 +134,8 @@ class Exponential(StageSum):
         object.__setattr__(self, "rate", check_positive_real(self.rate, "rate"))
 
     @property
-    def stage_rates(self):
-        return np.array([self.rate])
+    def stages(self):
+        return np.array([self.rate]), np.array([1])
 
     @_pointwise
     def pdf(self, x):
@@ -145,8 +158,8 @@ class Erlang(StageSum):
         object.__setattr__(self, "rate", check_positive_real(self.rate, "rate"))
 
     @property
-    def stage_rates(self):
-        return np.full(self.n, self.rate)
+    def stages(self):
+        return np.array([self.rate]), np.array([self.n])
 
     @_pointwise
     def pdf(self, x):
@@ -220,12 +233,12 @@ class Hypoexponential(StageSum):
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
 
     @property
-    def stage_rates(self):
-        return np.asarray(self.rates)
+    def stages(self):
+        return distinct_stages(self.rates)
 
     @_pointwise
     def pdf(self, x):
-        lam = self.stage_rates
+        lam = np.asarray(self.rates)
         vals = np.exp(-np.outer(x, lam)) @ (np.asarray(self.weights) * lam)
         return np.maximum(vals, 0.0).reshape(x.shape)
 
@@ -233,7 +246,7 @@ class Hypoexponential(StageSum):
     def cdf(self, x):
         # 1 - sum_j l_j exp(-rate_j x), evaluated as -sum_j l_j expm1(-rate_j x)
         # so that F(0) = 0 exactly
-        vals = -np.expm1(-np.outer(x, self.stage_rates)) @ np.asarray(self.weights)
+        vals = -np.expm1(-np.outer(x, self.rates)) @ np.asarray(self.weights)
         return np.clip(vals, 0.0, 1.0).reshape(x.shape)
 
 
@@ -263,8 +276,8 @@ class EME(StageSum):
         object.__setattr__(self, "w", check_positive_real(self.w, "w"))
 
     @property
-    def stage_rates(self):
-        return np.append(np.full(self.n, self.rate), self.rate / self.w)
+    def stages(self):
+        return np.array([self.rate, self.rate / self.w]), np.array([self.n, 1])
 
     @property
     def is_erlang_limit(self):

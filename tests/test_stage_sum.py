@@ -72,6 +72,22 @@ def test_hypoexponential_and_chain_closed_forms(lam, t):
         _close(d.laplace(t), math.prod(r / (r + t) for r in lam))
 
 
+@pytest.mark.parametrize("n", [10**5, 10**7])
+def test_many_equal_stages_cost_one_power(n):
+    # equal stages are one (rate, count) pair: no length-n array, and no
+    # rounding gathered over n factors
+    erlang, eme = Erlang(n, 1.5), EME(n, 1.5, 3.0)
+    _close(erlang.mean, n / 1.5)
+    _close(erlang.var, n / 1.5**2)
+    _close(eme.mean, (n + 3.0) / 1.5)
+    _close(eme.var, (n + 9.0) / 1.5**2)
+    t = np.array([0.0, 1e-6, 1e-4, 0.01])
+    np.testing.assert_allclose(erlang.laplace(t), (1.5 / (1.5 + t)) ** n, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(
+        eme.laplace(t), 0.5 / (0.5 + t) * (1.5 / (1.5 + t)) ** n, rtol=1e-13, atol=0.0
+    )
+
+
 # The draw layout of each family before the base, kept as the reference: the
 # base must reproduce it bit for bit.
 
@@ -130,6 +146,9 @@ def test_every_family_is_a_stage_sum():
     for d in (Exponential(1.0), Erlang(2, 1.0), Hypoexponential((1.0, 2.0)),
               EME(2, 1.0, 3.0), StageChain((1.0,))):
         assert isinstance(d, StageSum)
+    lam, m = EME(2, 1.0, 4.0).stages
+    np.testing.assert_array_equal(lam, [1.0, 0.25])
+    np.testing.assert_array_equal(m, [2, 1])
     np.testing.assert_array_equal(EME(2, 1.0, 4.0).stage_rates, [1.0, 1.0, 0.25])
     np.testing.assert_array_equal(Erlang(3, 2.0).stage_rates, [2.0, 2.0, 2.0])
 

@@ -1,16 +1,14 @@
 """Line counts of the library source: total lines, and code-only lines.
 
 Code-only lines leave out blank lines, comment-only lines and docstring lines
-(the leading string of a module, class or function body).  Run from the
-repository root:
+(the leading string of a module, class or function body).  Counts
+src/hypoexp/*.py:
 
-    python tools/src_lines.py            # src/hypoexp/*.py
-    python tools/src_lines.py FILE...    # the given files
+    python tools/src_lines.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -36,9 +34,9 @@ def code_lines(text):
     return len(code - docstrings)
 
 
-def main(argv):
+def main():
     root = Path(__file__).resolve().parent.parent
-    paths = [Path(p) for p in argv] or sorted((root / "src" / "hypoexp").glob("*.py"))
+    paths = sorted((root / "src" / "hypoexp").glob("*.py"))
     total = code = 0
     for path in paths:
         text = path.read_text(encoding="utf-8")
@@ -50,4 +48,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
