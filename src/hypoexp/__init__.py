@@ -1,6 +1,6 @@
 """hypoexp: phase-type sums of exponentials and what they characterize.
 
-Distributions (exponential, Erlang, distinct-rate hypoexponential,
+Distributions (exponential, Erlang, hypoexponential,
 exponentially modified Erlang) with densities, transforms, moments, sampling
 and maximum-likelihood fitting; exact and compensated-float verification of
 the transform identities behind the exponential characterization; a
@@ -21,14 +21,12 @@ from .chains import (
 from .distributions import (
     EME,
     ERLANG_LIMIT_TOL,
-    MIN_RELATIVE_RATE_GAP,
     Erlang,
     Exponential,
     Hypoexponential,
     Sample,
     StageSum,
     family_name,
-    hypoexp_weights,
     make_distribution,
 )
 from .errors import (
@@ -88,14 +86,12 @@ __all__ = [
     "validate_against",
     "EME",
     "ERLANG_LIMIT_TOL",
-    "MIN_RELATIVE_RATE_GAP",
     "Erlang",
     "Exponential",
     "Hypoexponential",
     "Sample",
     "StageSum",
     "family_name",
-    "hypoexp_weights",
     "make_distribution",
     "ConvergenceError",
     "DataError",

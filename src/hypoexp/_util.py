@@ -67,17 +67,17 @@ def check_positive_real(value, name):
     return value
 
 
-def check_rates(rates, name, least=1):
+def check_rates(rates, name):
     """``rates`` as a tuple of floats; ParameterError unless it is one rate
-    or a 1-D sequence of at least ``least`` finite positive reals."""
+    or a nonempty 1-D sequence of finite positive reals."""
     try:
         arr = np.atleast_1d(np.asarray(rates, dtype=float))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{name}s must be a sequence of reals, got {rates!r}") from exc
     if arr.ndim != 1:
         raise ParameterError(f"{name}s must be one-dimensional, got shape {arr.shape}")
-    if arr.size < least:
-        raise ParameterError(f"need at least {least} {name}(s), got {arr.size}")
+    if not arr.size:
+        raise ParameterError(f"need at least one {name}")
     return tuple(check_positive_real(r, name) for r in arr)
 
 

@@ -1,11 +1,13 @@
 """Sequential-stage absorption processes.
 
 A chain is an ordered list of transient stages, each left at an exponential
-rate, followed by an implicit absorbing stage.  The absorption time is then a
-convolution of exponentials: Erlang for equal rates, hypoexponential for
-distinct rates, and EME for the k-equal-stages-plus-one-odd-stage layout.
-``validate_against`` closes the loop by comparing simulated absorption times
-with the analytic laws via the Kolmogorov-Smirnov distance.
+rate, followed by an implicit absorbing stage.  Its absorption time is the
+sum of one exponential per stage, so ``StageChain`` is
+``distributions.Hypoexponential``: the chain's exact law for any rates,
+repeated or not.  Erlang (equal rates) and EME (k equal stages plus one odd
+stage) are the closed forms of special layouts.  ``validate_against`` closes
+the loop by comparing simulated absorption times with an analytic law via
+the Kolmogorov-Smirnov distance.
 """
 
 from __future__ import annotations
@@ -15,30 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_values, check_positive_int, check_rates
-from .distributions import Sample, StageSum, distinct_stages
+from ._util import as_values, check_positive_int
+from .distributions import Hypoexponential, Sample
 from .errors import ParameterError
 
 # Asymptotic 1% Kolmogorov-Smirnov critical constant: pass below 1.63/sqrt(N).
 KS_CRITICAL_1PCT = 1.63
 
-
-@dataclass(frozen=True)
-class StageChain(StageSum):
-    """Ordered transient stages; ``rates[i]`` is the rate of leaving stage i.
-    The absorption time is the stage sum with these rates."""
-
-    rates: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", check_rates(self.rates, "stage rate"))
-
-    def __len__(self):
-        return len(self.rates)
-
-    @property
-    def stages(self):
-        return distinct_stages(self.rates)
+# Ordered transient stages; ``rates[i]`` is the rate of leaving stage i.
+StageChain = Hypoexponential
 
 
 def eme_chain(k, rate_main, rate_last):

@@ -121,6 +121,8 @@ def _cmd_fit(args):
     batch = read_samples(args.infile, column=args.column)
     if args.n is not None and args.search is not None:
         raise _UsageError("--n and --search are mutually exclusive")
+    if args.search is not None and args.search < 1:
+        raise _UsageError(f"--search must be at least 1, got {args.search}")
     if args.n is not None:
         dist, ll = fit_eme(batch, n=args.n)
     else:

@@ -1,18 +1,21 @@
-"""Exponential, Erlang, distinct-rate hypoexponential, and exponentially
-modified Erlang (EME) distributions.
+"""Exponential, Erlang, hypoexponential, and exponentially modified Erlang
+(EME) distributions.
 
 Each family is a sum of independent exponential stages (``StageSum``): it
 gives its ``stages`` (each stage rate and how many stages run at it) and its
 ``pdf``/``cdf``, and the base derives ``mean``/``var``, ``laplace`` (the
-Laplace transform ``E[exp(-t X)]``) and inverse-CDF ``sample`` from them.  All evaluation methods are pure and
-thread-safe; sampling mutates only the generator passed in.
+Laplace transform ``E[exp(-t X)]``) and inverse-CDF ``sample`` from them.
+``Hypoexponential`` is the law for any stage rates, repeated or not, by
+uniformization; Exponential, Erlang and EME keep their closed forms.  All
+evaluation methods are pure and thread-safe; sampling mutates only the
+generator passed in.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +32,14 @@ from .special import log_poisson_weight, partial_exp_sum
 
 sp_special = LazyModule("scipy.special")
 
-# Rate pairs closer than this relative gap are rejected by Hypoexponential:
-# the partial-fraction weights cancel catastrophically there.  Equal-rate
-# stages belong in Erlang or EME instead.
-MIN_RELATIVE_RATE_GAP = 1e-8
-
 # Below this |w - 1| an EME is flagged as sitting on the Erlang(n+1) limit.
 # Evaluation does not need a special branch (the series form is exact through
 # w = 1); the flag is metadata for callers.
 ERLANG_LIMIT_TOL = 1e-6
 
-_EPS = np.finfo(float).eps
+# Mean uniformization jumps per checkpoint window of ``_Uniformization``;
+# a point's residual then sums about 90 terms.
+_WINDOW = 32.0
 
 
 def _pointwise(method):
@@ -119,11 +119,6 @@ class StageSum:
         return draws.sum(axis=1)
 
 
-def distinct_stages(rates):
-    """``StageSum.stages`` for one stage at each of ``rates``."""
-    return np.asarray(rates), np.ones(len(rates), dtype=int)
-
-
 @dataclass(frozen=True)
 class Exponential(StageSum):
     """Exponential distribution with density rate * exp(-rate * x)."""
@@ -163,17 +158,7 @@ class Erlang(StageSum):
 
     @_pointwise
     def pdf(self, x):
-        n, lam = self.n, self.rate
-        if n == 1:
-            return lam * np.exp(-lam * x)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        xp = x[pos]
-        with np.errstate(divide="ignore"):
-            out[pos] = np.exp(
-                n * math.log(lam) + (n - 1) * np.log(xp) - lam * xp - math.lgamma(n)
-            )
-        return out
+        return self.rate * np.exp(log_poisson_weight(self.n - 1, self.rate * x))
 
     @_pointwise
     def cdf(self, x):
@@ -183,71 +168,119 @@ class Erlang(StageSum):
         return draws.sum(axis=1) / self.rate
 
 
-def hypoexp_weights(rates):
-    """Partial-fraction weights l_j = prod_{i != j} rate_i / (rate_i - rate_j).
-
-    The weights are signed and sum to 1; they express the density of a sum of
-    independent exponentials with distinct rates as a linear combination of
-    the component densities.
-    """
-    lam = np.asarray(rates, dtype=float)
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)  # placeholder; the diagonal ratio is forced to 1
-    ratio = lam[:, None] / diff
-    np.fill_diagonal(ratio, 1.0)
-    return ratio.prod(axis=0)
-
-
 @dataclass(frozen=True)
 class Hypoexponential(StageSum):
-    """Sum of independent exponentials with pairwise-distinct rates.
+    """Sum of independent exponential stages at ``rates``, repeated or not.
 
-    Construction rejects rate pairs with relative gap below
-    ``MIN_RELATIVE_RATE_GAP`` and weights whose sum strays from 1 beyond
-    rounding, because the partial-fraction weights become meaningless there.
+    It is also the absorption time of the chain that leaves stage i at rate
+    ``rates[i]``: ``chains.StageChain`` is this class.  ``pdf`` and ``cdf``
+    come from ``_Uniformization``, built on the first evaluation of a rate
+    vector and cached.
     """
 
     rates: tuple
-    weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rates = check_rates(self.rates, "rate", least=2)
-        lam = np.asarray(rates)
-        gap = np.abs(lam[:, None] - lam[None, :])
-        rel = gap / np.maximum(lam[:, None], lam[None, :])
-        rel[np.eye(len(rates), dtype=bool)] = np.inf
-        if rel.min() < MIN_RELATIVE_RATE_GAP:
-            i, j = np.unravel_index(np.argmin(rel), rel.shape)
-            raise ParameterError(
-                f"rates {lam[i]!r} and {lam[j]!r} are closer than relative gap "
-                f"{MIN_RELATIVE_RATE_GAP:g}; use Erlang or EME for repeated rates"
-            )
-        weights = hypoexp_weights(lam)
-        drift = abs(weights.sum() - 1.0)
-        if drift > max(1e-10, 8.0 * _EPS * np.abs(weights).sum()):
-            raise ParameterError(
-                f"partial-fraction weights sum to 1{weights.sum() - 1.0:+.3e}; "
-                "rates are too close for reliable weights"
-            )
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "weights", tuple(float(w) for w in weights))
+        object.__setattr__(self, "rates", check_rates(self.rates, "rate"))
 
     @property
     def stages(self):
-        return distinct_stages(self.rates)
+        return np.asarray(self.rates), np.ones(len(self.rates), dtype=int)
 
     @_pointwise
     def pdf(self, x):
-        lam = np.asarray(self.rates)
-        vals = np.exp(-np.outer(x, lam)) @ (np.asarray(self.weights) * lam)
-        return np.maximum(vals, 0.0).reshape(x.shape)
+        return self.rates[-1] * _Uniformization(self.rates)(x, -2)
 
     @_pointwise
     def cdf(self, x):
-        # 1 - sum_j l_j exp(-rate_j x), evaluated as -sum_j l_j expm1(-rate_j x)
-        # so that F(0) = 0 exactly
-        vals = -np.expm1(-np.outer(x, self.rates)) @ np.asarray(self.weights)
-        return np.clip(vals, 0.0, 1.0).reshape(x.shape)
+        return np.minimum(_Uniformization(self.rates)(x, -1), 1.0)
+
+
+@functools.lru_cache(maxsize=32)  # one set-up per rate vector, shared by equal laws
+class _Uniformization:
+    """Density and CDF of a stage chain by uniformization (Jensen 1953).
+
+    At Lambda = max rate the chain jumps at the events of a Poisson(Lambda x)
+    clock; at a jump stage i moves on with probability lam_i / Lambda and
+    otherwise stays.  With P that jump matrix (absorbing state K last),
+
+        F(x) = sum_k pois(k; Lambda x) (e_0 P^k)[K],
+        f(x) = lam_{K-1} sum_k pois(k; Lambda x) (e_0 P^k)[K-1].
+
+    Every term is nonnegative, so neither sum cancels: the left tail keeps
+    its relative accuracy and repeated rates need no special case.
+
+    The work per point is bounded in x.  Lambda x splits into j windows of
+    ``_WINDOW`` mean jumps and a residual s below one window.  The
+    checkpoint row e_0 M^j, M = sum_k pois(k; _WINDOW) P^k the window's
+    transition matrix, comes from binary powers of M.  They are squared until
+    the transient mass of e_0 M^(2^b) underflows; from that cap on, e_0 M^j
+    is the absorbed row, and F = 1 and f = 0 exactly.  The residual sums as
+    many terms in s as leave every row of M, in both columns, a relative
+    tail below 2^-56.  That tail grows with s, and the tail of a nonnegative
+    combination of rows is at most the largest of theirs, so the bound holds
+    at every checkpoint and point.  The diagonal of each power of M is set
+    to its exact exp(-lam_i t): its rounding would otherwise grow with j.
+    Rates too far apart for that (the slowest below about 1e-17 of the
+    fastest, or tails that the table of terms cannot reach) raise
+    ``ConvergenceError``.
+    """
+
+    def __init__(self, rates):
+        move = np.asarray(rates) / max(rates)
+        jump = np.diag(np.append(1.0 - move, 1.0)) + np.diag(move, 1)  # P
+        size = len(jump)
+        self.scale = max(rates) / _WINDOW
+        # terms[k]: the two columns of P^k times _WINDOW^k / k!, the
+        # coefficient of (s / _WINDOW)^k; pois(size + 160; _WINDOW) < 1e-60
+        factor, power = 1.0, np.eye(size)
+        window = np.zeros((size, size))
+        terms = np.empty((size + 160, size, 2))
+        for k in range(len(terms)):
+            window += factor * power
+            terms[k] = factor * power[:, -2:]
+            factor *= _WINDOW / (k + 1)
+            power = jump @ power
+        tails = np.cumsum(terms[::-1], axis=0)[::-1] + 2.0 * factor * (window[:, -2:] > 0)
+        enough = np.all(tails <= 2.0**-56 * window[:, -2:], axis=(1, 2))
+        self.coef = np.moveaxis(terms[: int(np.argmax(enough))], 0, -1)
+        exits = _WINDOW * np.append(move, 0.0)
+        self.start = np.eye(size)[0]
+        self.powers, square = [], window * math.exp(-_WINDOW)
+        while not self.powers or (self.powers[-1][0, :-1].any() and len(self.powers) < 64):
+            np.fill_diagonal(square, np.exp(-exits * 2.0 ** len(self.powers)))
+            self.powers.append(square)
+            square = square @ square
+        if not enough[-1] or self.powers[-1][0, :-1].any():
+            raise ConvergenceError(f"rates {rates} are beyond the range of uniformization")
+        self.powers[-1][0, -1] = 1.0  # e_0 M^cap: the transient mass has underflowed
+
+    def __call__(self, x, col):
+        """sum_k pois(k; Lambda x) (e_0 P^k)[col] at the points x."""
+        flat = x.ravel()
+        order = np.argsort(flat, kind="stable")
+        cap = 2.0 ** (len(self.powers) - 1)
+        y = np.minimum(flat[order] * self.scale, cap)  # Lambda x / _WINDOW
+        windows = np.floor(y)
+        u = y - windows  # s / _WINDOW, in [0, 1)
+        starts = np.flatnonzero(windows != np.concatenate(([-1.0], windows[:-1]))).tolist()
+        rows = np.reshape([self._row(int(windows[a])) for a in starts], (-1, self.start.size))
+        out = np.empty_like(flat)
+        for coef, a, b in zip(rows @ self.coef[:, col], starts, starts[1:] + [y.size]):
+            if b - a > 256:  # many points: Horner with scalar coefficients
+                acc = np.full(b - a, coef[-1])
+                for c in coef[-2::-1]:
+                    acc *= u[a:b]
+                    acc += c
+            else:  # few: one table of powers, cheaper than a loop per term
+                acc = (u[a:b, None] ** np.arange(coef.size)) @ coef
+            out[order[a:b]] = acc * np.exp(-_WINDOW * u[a:b])
+        return out.reshape(x.shape)
+
+    def _row(self, j):
+        """e_0 M^j from the binary powers of M."""
+        powers = (self.powers[b] for b in range(j.bit_length()) if j >> b & 1)
+        return functools.reduce(np.matmul, powers, self.start)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ around the characterization, not a published recipe; the report says so.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,9 @@ class GofConfig:
         if reps < 99:
             raise ParameterError(f"bootstrap_reps must be >= 99, got {reps!r}")
         object.__setattr__(self, "bootstrap_reps", reps)
-        if not (0.0 < self.level < 1.0):
-            raise ParameterError(f"level must lie in (0, 1), got {self.level!r}")
+        if not (isinstance(self.level, numbers.Real) and 0.0 < self.level < 1.0):
+            raise ParameterError(f"level must be a real in (0, 1), got {self.level!r}")
+        object.__setattr__(self, "level", float(self.level))
 
     @property
     def grid(self):

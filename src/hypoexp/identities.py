@@ -471,16 +471,16 @@ class IdentityReport:
         return "\n".join(lines)
 
 
-def random_rationals(count, rng, bound=10**6, exclude=(0, 1)):
-    """Deterministic pool of nonzero random Fractions with numerator and
-    denominator magnitudes up to ``bound``."""
+def random_rationals(count, rng):
+    """Deterministic pool of random Fractions other than 0 and 1, with
+    numerator and denominator magnitudes up to 10^6."""
+    bound = 10**6
     out = []
-    excluded = {Fraction(e) for e in exclude}
     while len(out) < count:
         num = int(rng.integers(-bound, bound + 1))
         den = int(rng.integers(1, bound + 1))
         cand = Fraction(num, den)
-        if cand not in excluded:
+        if cand not in (0, 1):
             out.append(cand)
     return out
 

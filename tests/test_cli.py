@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypoexp import Hypoexponential, read_samples, validate_against
 from hypoexp.cli import main
 
 
@@ -45,6 +46,17 @@ class TestEval:
         )
         assert code == 0
         assert "pdf=0.5" in out
+
+    def test_hypo_repeated_rates(self, capsys):
+        # rates 1, 1, 2: Erlang(2, 1) convolved with Exp(2) gives
+        # f = 2 e^-2x ((x - 1) e^x + 1) and F = 1 - e^-2x - 2x e^-x
+        code, out, _ = run_cli(capsys, "eval", "--dist", "hypo", "--rates", "1,1,2",
+                               "--x", "0.5", "--format", "structured")
+        assert code == 0
+        rec = json.loads(out.strip())
+        assert rec["pdf"] == pytest.approx(2.0 * np.exp(-1.0) * (1.0 - 0.5 * np.exp(0.5)),
+                                           rel=1e-13, abs=0.0)
+        assert rec["cdf"] == pytest.approx(1.0 - np.exp(-1.0) - np.exp(-0.5), rel=1e-13, abs=0.0)
 
     def test_missing_param_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--dist", "eme", "--n", "2",
@@ -102,6 +114,16 @@ class TestSampleAndFit:
         rec = json.loads(out.strip())
         mean = (rec["n"] + rec["w"]) / rec["lambda"]
         assert mean == pytest.approx(3.0, rel=0.05)
+
+    @pytest.mark.parametrize("search", ["0", "-2"])
+    def test_fit_search_below_one_is_usage_error(self, capsys, tmp_path, search):
+        # 0 used to be read as "unset" and scanned 1..5
+        data = tmp_path / "d.txt"
+        data.write_text("1.0\n2.0\n3.0\n")
+        code, out, err = run_cli(capsys, "fit", "--in", str(data), "--search", search)
+        assert code == 2
+        assert out == ""
+        assert "--search" in err
 
     def test_fit_conflicting_flags(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
@@ -221,6 +243,15 @@ class TestVerifyAndSimulate:
                                  "--count", "3", "--seed", "6")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_simulate_repeated_stages_match_their_law(self, capsys, tmp_path):
+        out_file = tmp_path / "times.txt"
+        code, _, _ = run_cli(capsys, "simulate", "--stages", "1,1,2,2,3",
+                             "--count", "100000", "--out", str(out_file))
+        assert code == 0
+        times = read_samples(out_file)
+        assert len(times) == 100_000
+        assert validate_against(times, Hypoexponential((1.0, 1.0, 2.0, 2.0, 3.0))).passed
 
     def test_simulate_bad_stage_is_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--stages", "1,-1", "--count", "5")

@@ -78,6 +78,7 @@ def test_eval_loads_special_on_first_use():
         ("verify", "--sweep", "quick"),
         ("gof", "--B", "99"),
         ("simulate", "--stages", "1,2,3", "--count", "50"),
+        ("eval", "--dist", "hypo", "--rates", "1,1,2", "--x", "0.5,3"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -18,7 +18,6 @@ from hypoexp import (
     dist_from_dict,
     dist_to_dict,
     family_name,
-    hypoexp_weights,
     make_distribution,
     regularized_upper_gamma,
 )
@@ -101,6 +100,18 @@ class TestErlang:
         d = Erlang(3, 2.0)
         assert (d.mean, d.var) == (1.5, 0.75)
 
+    def test_large_n_density_against_mpmath(self):
+        # the density is rate pois(n - 1; rate x) from special.log_poisson_weight;
+        # summing n log(rate x) and lgamma(n) apart lost up to 1.4e-11 here
+        mpmath = pytest.importorskip("mpmath")
+        for n in (50, 1000, 20_000):
+            lx = np.array([0.5, 1.0, 1.5, 3.0]) * n
+            got = Erlang(n, 1.3).pdf(lx / 1.3)
+            with mpmath.workdps(50):
+                for gi, li in zip(got, lx):
+                    want = 1.3 * mpmath.exp((n - 1) * mpmath.log(li) - li - mpmath.loggamma(n))
+                    assert gi == pytest.approx(float(want), rel=1e-13, abs=0.0), (n, li)
+
     def test_shape_one_is_exponential(self):
         x = np.linspace(0.0, 5.0, 21)
         np.testing.assert_allclose(Erlang(1, 1.7).pdf(x), Exponential(1.7).pdf(x),
@@ -108,9 +119,13 @@ class TestErlang:
 
 
 class TestHypoexponential:
-    def test_two_rate_weights(self):
+    def test_two_rate_closed_form(self):
+        # rates (1, 2): f = 2 e^-x (1 - e^-x) and F = (1 - e^-x)^2, both
+        # without cancellation
         d = Hypoexponential((1.0, 2.0))
-        assert d.weights == pytest.approx((2.0, -1.0), abs=1e-14)
+        x = np.concatenate([np.geomspace(1e-8, 1.0, 9), np.linspace(1.5, 60.0, 12)])
+        np.testing.assert_allclose(d.pdf(x), -2.0 * np.exp(-x) * np.expm1(-x), rtol=1e-14)
+        np.testing.assert_allclose(d.cdf(x), np.expm1(-x) ** 2, rtol=1e-14)
 
     def test_two_rate_density_value(self):
         # 2 exp(-x) - 2 exp(-2x) at x = ln 2 gives 1 - 1/2
@@ -133,29 +148,103 @@ class TestHypoexponential:
         assert got[0] == pytest.approx(1.5, abs=1e-14)
         assert got[1] == pytest.approx(1.25, abs=1e-14)
 
-    def test_weight_normalization_sweep(self):
+    def test_normalization_sweep(self):
+        # random rate sets, repeated and near-equal rates included: the cdf
+        # is the integral of the pdf and reaches 1
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            k = int(rng.integers(2, 7))
-            rates = np.exp(rng.uniform(-1.5, 1.5, k))
-            rel = np.abs(rates[:, None] - rates[None, :]) / np.maximum(
-                rates[:, None], rates[None, :]
-            )
-            rel[np.eye(k, dtype=bool)] = np.inf
-            if rel.min() < 1e-3:
-                continue
-            weights = hypoexp_weights(rates)
-            assert abs(weights.sum() - 1.0) < 1e-10
+        for _ in range(40):
+            rates = np.exp(rng.uniform(-1.5, 1.5, int(rng.integers(1, 7))))
+            if rates.size > 1 and rng.random() < 0.5:
+                rates[1] = rates[0] * (1.0 + rng.choice([0.0, 1e-12, 1e-6]))
+            d = Hypoexponential(tuple(rates))
+            x = d.mean
+            area, _ = integrate.quad(d.pdf, 0.0, x, epsabs=0.0, epsrel=1e-12, limit=200)
+            assert d.cdf(x) == pytest.approx(area, rel=1e-10)
+            assert d.cdf(d.mean + 80.0 / rates.min()) == pytest.approx(1.0, abs=1e-14)
+            assert d.cdf(1e9) == 1.0 and d.pdf(1e9) == 0.0
 
-    def test_rejects_near_equal_rates(self):
-        with pytest.raises(ParameterError):
-            Hypoexponential((1.0, 1.0))
-        with pytest.raises(ParameterError):
-            Hypoexponential((1.0, 1.0 + 1e-9))
+    def test_near_equal_rates_evaluate(self):
+        # repeated rates are a stage chain like any other: Erlang(2, 1) here
+        x = np.linspace(0.0, 30.0, 31)
+        erlang = Erlang(2, 1.0)
+        np.testing.assert_allclose(Hypoexponential((1.0, 1.0)).pdf(x), erlang.pdf(x),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(Hypoexponential((1.0, 1.0)).cdf(x), erlang.cdf(x),
+                                   rtol=1e-14, atol=0.0)
+        # rates 1 and b = 1 + 1e-9, against partial fractions in 60 digits:
+        # f = b (e^-x - e^-bx) / (b - 1), F = 1 - (b e^-x - e^-bx) / (b - 1)
+        mpmath = pytest.importorskip("mpmath")
+        near = Hypoexponential((1.0, 1.0 + 1e-9))
+        with mpmath.workdps(60):
+            b = mpmath.mpf(1.0 + 1e-9)
+            for xi, f, F in zip(x, near.pdf(x), near.cdf(x)):
+                ea, eb = mpmath.exp(-mpmath.mpf(xi)), mpmath.exp(-b * xi)
+                assert f == pytest.approx(float(b * (ea - eb) / (b - 1)), rel=1e-13, abs=0.0)
+                assert F == pytest.approx(float(1 - (b * ea - eb) / (b - 1)), rel=1e-13, abs=0.0)
 
-    def test_rejects_single_rate(self):
-        with pytest.raises(ParameterError):
-            Hypoexponential((1.0,))
+    def test_single_rate_is_exponential(self):
+        x = np.linspace(0.0, 700.0, 71)
+        d, ref = Hypoexponential((1.0,)), Exponential(1.0)
+        np.testing.assert_allclose(d.pdf(x), ref.pdf(x), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(d.cdf(x), ref.cdf(x), rtol=1e-15, atol=0.0)
+        assert d.pdf(0.0) == 1.0
+
+    @pytest.mark.parametrize("rates, xs, tol", [
+        (tuple(range(1, 11)), (0.05, 0.5, 2.0, 20.0), 1e-12),
+        (tuple(range(1, 26)), (0.05, 0.5, 2.0, 20.0), 1e-12),
+        (tuple(range(1, 41)), (0.05, 0.5, 2.0, 20.0), 1e-12),
+        # up to 2e5 windows of the rate-100 clock: a rounding error per window
+        # would add up, so the diagonals of the window powers are exact
+        ((0.01, 100.0), (0.05, 5.0, 100.0, 1000.0, 5000.0, 2e4, 7e4), 1e-11),
+        ((1.0, 1.0, 2.0, 2.0, 3.0), (0.05, 0.5, 2.0, 20.0), 1e-13),
+        ((1.0,) * 5, (0.05, 0.5, 2.0, 20.0), 1e-13),
+        ((2.0, 2.0, 2.0, 0.5), (0.05, 0.5, 2.0, 20.0), 1e-13),
+    ])
+    def test_against_mpmath(self, rates, xs, tol):
+        # distinct rates: partial fractions in 250 digits, which absorb their
+        # cancellation (rates 1..25 at x = 0.5 used to give F = 0 for a true
+        # 7.46e-11); repeated rates: exp(xQ) of the generator in 80 digits
+        mpmath = pytest.importorskip("mpmath")
+        d = Hypoexponential(rates)
+        got = np.array([d.pdf(np.array(xs)), d.cdf(np.array(xs))])
+        k = len(rates)
+        for i, x in enumerate(xs):
+            if len(set(rates)) == k:
+                with mpmath.workdps(250):
+                    lam, xm = [mpmath.mpf(r) for r in rates], mpmath.mpf(x)
+                    weights = [mpmath.fprod(li / (li - lj) for li in lam if li != lj)
+                               for lj in lam]
+                    pdf = mpmath.fsum(w * lj * mpmath.exp(-lj * xm) for w, lj in zip(weights, lam))
+                    cdf = 1 - mpmath.fsum(w * mpmath.exp(-lj * xm) for w, lj in zip(weights, lam))
+            else:
+                with mpmath.workdps(80):
+                    q = mpmath.zeros(k + 1)
+                    for j, r in enumerate(rates):
+                        q[j, j], q[j, j + 1] = -r, r
+                    e = mpmath.expm(q * x)
+                    pdf, cdf = rates[-1] * e[0, k - 1], e[0, k]
+            for j, name in enumerate(("pdf", "cdf")):
+                want = float((pdf, cdf)[j])
+                assert want > 0.0
+                assert got[j, i] == pytest.approx(want, rel=tol, abs=0.0), (name, x)
+                assert getattr(d, name)(x) == pytest.approx(want, rel=tol, abs=0.0), (name, x)
+
+    def test_closed_forms_where_they_apply(self):
+        # a few points per window and thousands (the Horner path), one call each
+        x = np.concatenate([np.geomspace(1e-3, 1.0, 7), np.linspace(2.0, 40.0, 3000)])
+        for hypo, ref in ((Hypoexponential((1.0,) * 5), Erlang(5, 1.0)),
+                          (Hypoexponential((2.0, 2.0, 2.0, 0.5)), EME(3, 2.0, 4.0))):
+            np.testing.assert_allclose(hypo.pdf(x), ref.pdf(x), rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(hypo.cdf(x), ref.cdf(x), rtol=1e-13, atol=0.0)
+
+    def test_work_is_bounded_in_x(self):
+        # every window count past the last square of the window matrix is
+        # absorbed: F = 1 and f = 0 exactly, at any x
+        for rates in ((1.0, 2.0, 3.0, 4.0, 5.0), (0.01, 100.0)):
+            d = Hypoexponential(rates)
+            for x in (1e9, 1e300):
+                assert d.cdf(x) == 1.0 and d.pdf(x) == 0.0
+            np.testing.assert_array_equal(d.cdf(np.array([1e9, 0.0])), [1.0, 0.0])
 
     def test_laplace_is_product(self):
         d = Hypoexponential((1.0, 2.0, 5.0))

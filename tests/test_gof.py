@@ -72,6 +72,17 @@ class TestConfig:
         with pytest.raises(ParameterError):
             GofConfig(level=0.0)
 
+    @pytest.mark.parametrize("level", [1.0, -0.1, math.nan, math.inf, "0.5", None, [0.5]])
+    def test_level_must_be_a_real_in_the_open_unit_interval(self, level):
+        # the string "0.5" used to escape as a bare TypeError from the comparison
+        with pytest.raises(ParameterError, match="level"):
+            GofConfig(level=level)
+
+    def test_level_is_stored_as_float(self):
+        for level in (np.float32(0.25), 1e-3):
+            cfg = GofConfig(level=level)
+            assert type(cfg.level) is float and cfg.level == float(level)
+
     @pytest.mark.parametrize("decay", [math.inf, math.nan, 0.0, -1.0])
     def test_grid_decay_must_be_finite_positive(self, decay):
         # an infinite decay weighted every grid point by 0: statistic 0, p = 1

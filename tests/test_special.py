@@ -60,7 +60,8 @@ def test_value_in_unit_interval_for_nonnegative_t():
 
 
 def test_log_space_agrees_with_direct_near_crossover():
-    # |t| = 30 is the switch point between direct and log-space evaluation
+    # every t takes the log-space path; these points on both sides of
+    # |t| = 30 check it against the exact rational sum
     for n in (2, 7, 25):
         for t in (29.9, 30.1, -29.9, -30.1):
             direct = float(exact_partial_sum(n, t)) * math.exp(-t)

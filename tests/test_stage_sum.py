@@ -60,16 +60,37 @@ def test_eme_closed_forms(n, rate, w, t):
     _close(d.laplace(t), (odd / (odd + t)) * (rate / (rate + t)) ** n)
 
 
+# repeated and near-equal rates come up often from the fixed pool
+chain_rates = st.lists(st.one_of(rates, st.sampled_from([0.5, 1.0, 1.0 + 1e-9, 2.0])),
+                       min_size=1, max_size=8)
+
+
 @settings(max_examples=200, deadline=None)
-@given(lam=st.lists(rates, min_size=2, max_size=8, unique=True), t=points)
+@given(lam=chain_rates, t=points)
 def test_hypoexponential_and_chain_closed_forms(lam, t):
-    lam = sorted(lam)
-    if min(b / a - 1.0 for a, b in zip(lam, lam[1:])) < 1e-3:
-        return  # Hypoexponential rejects near-equal rates
     for d in (Hypoexponential(tuple(lam)), StageChain(tuple(lam))):
         _close(d.mean, math.fsum(1.0 / r for r in lam))
         _close(d.var, math.fsum(1.0 / r**2 for r in lam))
         _close(d.laplace(t), math.prod(r / (r + t) for r in lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=chain_rates, scale=st.floats(min_value=0.2, max_value=4.0))
+def test_hypoexponential_law_against_generator_exponential(lam, scale):
+    # the chain's law from exp(x Q) of its generator in 40 digits, an
+    # oracle independent of uniformization: F = exp(xQ)[0, K] and
+    # f = lam_{K-1} exp(xQ)[0, K-1]
+    mpmath = pytest.importorskip("mpmath")
+    d = Hypoexponential(tuple(lam))
+    x = scale * d.mean
+    with mpmath.workdps(40):
+        q = mpmath.zeros(len(lam) + 1)
+        for i, r in enumerate(lam):
+            q[i, i], q[i, i + 1] = -r, r
+        e = mpmath.expm(q * x)
+        want_pdf, want_cdf = float(lam[-1] * e[0, len(lam) - 1]), float(e[0, len(lam)])
+    assert d.pdf(x) == pytest.approx(want_pdf, rel=1e-12, abs=0.0)
+    assert d.cdf(x) == pytest.approx(want_cdf, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [10**5, 10**7])
@@ -118,9 +139,8 @@ DRAW_CASES = [
     EME(3, 2.0, 0.25),
     EME(7, 1.5, 0.3),
     EME(20, 1.0, 0.8),
-    StageChain((2.0,)),
-    StageChain((1.0, 1.0, 1.0, 1.0, 0.2)),
-    StageChain((1.0, 3.0, 0.7)),
+    *(pytest.param(StageChain(rates), id=f"StageChain(rates={rates!r})")
+      for rates in [(2.0,), (1.0, 1.0, 1.0, 1.0, 0.2), (1.0, 3.0, 0.7)]),
 ]
 
 
@@ -179,7 +199,8 @@ def test_two_dimensional_points_keep_their_shape(dist, x):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=name)
 
 
-@pytest.mark.parametrize("make", [StageChain, Hypoexponential])
+@pytest.mark.parametrize("make", [StageChain, Hypoexponential],
+                         ids=["StageChain", "Hypoexponential"])
 def test_rates_must_be_one_dimensional(make):
     with pytest.raises(ParameterError, match="one-dimensional"):
         make([[1.0, 2.0], [3.0, 4.0]])
