@@ -59,12 +59,21 @@ def check_positive_int(value, name):
     return int(value)
 
 
+def _checked_real(value, ok, message):
+    """float(value); ParameterError "<message>, got ..." unless it converts
+    and ``ok`` holds for it (a string such as "2.5" converts)."""
+    try:
+        real = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{message}, got {value!r}") from exc
+    if not ok(real):
+        raise ParameterError(f"{message}, got {real!r}")
+    return real
+
+
 def check_positive_real(value, name):
     """``value`` as a float; ParameterError unless it is finite and positive."""
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
-    return value
+    return _checked_real(value, lambda v: 0.0 < v < math.inf, f"{name} must be a finite positive real")
 
 
 def check_rates(rates, name):
@@ -84,10 +93,8 @@ def check_rates(rates, name):
 def check_w(w):
     """The odd-stage multiplier ``w`` as a float; ParameterError unless it is
     finite, positive and != 1 (at w = 1 the characterization is empty)."""
-    w = float(w)
-    if not math.isfinite(w) or w <= 0.0 or w == 1.0:
-        raise ParameterError(f"w must be positive, finite and != 1, got {w!r}")
-    return w
+    return _checked_real(w, lambda v: 0.0 < v < math.inf and v != 1.0,
+                         "w must be positive, finite and != 1")
 
 
 def as_points(x, name="x"):

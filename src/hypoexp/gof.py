@@ -45,9 +45,14 @@ METHOD_NOTE = (
 # essentially flat and contributes nothing.
 T_MAX = 10.0
 
-# Replicates per bootstrap block: about 512 KiB of draws, so the block and the
-# kernel's working arrays stay in a typical L2 cache.
-_BLOCK_BYTES = 1 << 19
+# Bytes of power table that _grid_means holds at once.  One buffer of at most
+# this size is reused for every chunk of rows and observations: a fresh table
+# per block of rows costs more in page faults than the power sums save.
+_TABLE_BYTES = 1 << 19
+
+# Replicates per bootstrap block: about 128 KiB of draws.  The block's draws,
+# its standardized rows and the table stay in a typical L2 cache.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -118,38 +123,62 @@ def empirical_laplace(data, t):
     return float(vals) if isinstance(t, float) else vals
 
 
-def _grid_means(y, step, exponents):
-    """Row means of exp(-y*step)**e for each integer e in the increasing
-    list ``exponents`` (rows: R x N).
+def _powers(y, step, out):
+    """out[k] = exp(-step*y)**k for k < len(out), by repeated products."""
+    out[0] = 1.0
+    if len(out) > 1:
+        np.exp(np.multiply(y, -step, out=out[1]), out=out[1])
+    for k in range(2, len(out)):
+        np.multiply(out[k - 1], out[1], out=out[k])
 
-    One exp per element, then in-place multiplies: exp(-y*step*e) =
-    exp(-y*step)**e, so memory stays at O(R x N) whatever the grid."""
-    base = np.exp(-step * y)
-    power = base.copy()
-    out = np.empty((y.shape[0], len(exponents)))
-    reached = 1
-    for col, e in enumerate(exponents):
-        for _ in range(e - reached):
-            power *= base
-        reached = e
-        out[:, col] = power.sum(axis=1)
-    out /= y.shape[1]
-    return out
+
+def _grid_means(y, step, exponents):
+    """Row means of exp(-y*step)**e for each positive integer e in
+    ``exponents`` (rows: R x N).
+
+    With b = exp(-step*y), S = isqrt(e_max) and A = e_max//S + 1, every
+    power b**e, e <= e_max, is b**c * b**(S*a) for one c < S and one a < A.
+    The tables L[c] = b**c and H[a] = b**(S*a) take S + A (about
+    2*sqrt(e_max)) passes, and sum_i b_i**(S*a+c) is entry [a, c] of H L^T,
+    so one stacked matmul gives every power sum of a chunk of rows.  H[1] is
+    its own exp, so no power takes more than S + A roundings.
+
+    The table is one buffer of at most ``_TABLE_BYTES``, reused for every
+    chunk of rows and of observations, so memory stays bounded whatever N
+    and the grid.  The observation chunks depend only on N and
+    max(exponents), so each row's sums equal those of a one-row call."""
+    e_max = int(np.max(exponents))
+    low = math.isqrt(e_max)
+    high = e_max // low + 1
+    rows, n_obs = y.shape
+    width = min(n_obs, max(1, _TABLE_BYTES // (8 * (low + high))))
+    height = min(rows, max(1, _TABLE_BYTES // (8 * (low + high) * width)))
+    table = np.empty((low + high, height, width))
+    sums = np.zeros((rows, high, low))
+    for r in range(0, rows, height):
+        for c in range(0, n_obs, width):
+            chunk = y[r : r + height, c : c + width]
+            part = table[:, : chunk.shape[0], : chunk.shape[1]]
+            _powers(chunk, step, part[:low])
+            _powers(chunk, low * step, part[low:])
+            sums[r : r + height] += np.matmul(part[low:].transpose(1, 0, 2),
+                                              part[:low].transpose(1, 2, 0))
+    # take keeps the rows C-ordered; [:, exponents] would not, and numpy sums
+    # the rows of a Fortran-ordered array in another order than one row
+    return np.take(sums.reshape(rows, -1), exponents, axis=1) / n_obs
 
 
 def _grid_transforms(y, cfg):
     """Empirical Phi(t) and Phi(wt) on the grid t = dt*(1..G), per row of y.
 
-    At the default w = 2, Phi(2t) sits at the even exponents of Phi(t)'s
-    power table, so one pass over {1..G} U 2*{1..G} gives both and saves an
-    exp and G/2 row sums.  Any other w takes one pass per transform: a larger
-    whole-number w would need w*G multiplies in one table."""
+    At the default w = 2, Phi(2t) is the power sum at exponent 2e of Phi(t)'s
+    base, so one table up to 2G gives both.  Any other w takes one table per
+    transform: a larger whole-number w would need a table up to w*G."""
     dt = T_MAX / cfg.grid_points
     g = np.arange(1, cfg.grid_points + 1)
     if cfg.w == 2.0:
-        exponents = np.union1d(g, 2 * g)
-        means = _grid_means(y, dt, exponents)
-        return means[:, : cfg.grid_points], means[:, np.searchsorted(exponents, 2 * g)]
+        means = _grid_means(y, dt, np.concatenate([g, 2 * g]))
+        return means[:, : cfg.grid_points], means[:, cfg.grid_points :]
     return _grid_means(y, dt, g), _grid_means(y, cfg.w * dt, g)
 
 

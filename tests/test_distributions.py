@@ -390,8 +390,9 @@ class TestEME:
                 want = mpmath.gammainc(n, 0, lx, regularized=True) - (wm / (wm - 1)) ** n * (
                     mpmath.exp(-lx / wm) * (1 - mpmath.exp(-u) * poly)
                 )
-            assert gi == pytest.approx(float(want), rel=1e-12), xi
-            assert d.cdf(float(xi)) == pytest.approx(float(want), rel=1e-12), xi
+            # abs=0: the default abs=1e-12 would pass any left-tail value
+            assert gi == pytest.approx(float(want), rel=1e-12, abs=0.0), xi
+            assert d.cdf(float(xi)) == pytest.approx(float(want), rel=1e-12, abs=0.0), xi
 
     @pytest.mark.parametrize(
         "n, rate, w, x",
@@ -404,8 +405,8 @@ class TestEME:
         # the series form
         mpmath = pytest.importorskip("mpmath")
         want = _eme_cdf_mp(mpmath, n, rate, w, x)
-        assert EME(n, rate, w).cdf(x) == pytest.approx(want, rel=1e-13)
-        assert EME(n, rate, w).cdf(np.array([x]))[0] == pytest.approx(want, rel=1e-13)
+        assert EME(n, rate, w).cdf(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert EME(n, rate, w).cdf(np.array([x]))[0] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "n, rate, w",
@@ -418,7 +419,7 @@ class TestEME:
         d = EME(n, rate, w)
         x = np.concatenate([np.geomspace(1e-4, 1.0, 12), np.linspace(0.05, 4.0, 24)]) * d.mean
         for xi, gi in zip(x, d.cdf(x)):
-            assert gi == pytest.approx(_eme_cdf_mp(mpmath, n, rate, w, xi), rel=1e-13), xi
+            assert gi == pytest.approx(_eme_cdf_mp(mpmath, n, rate, w, xi), rel=1e-13, abs=0.0), xi
 
     def test_tail_series_raises_when_unconverged(self):
         # far outside its branch (|u| >> n+1) the terms grow past the cap

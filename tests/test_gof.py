@@ -1,10 +1,12 @@
 """Exponentiality test: statistic, bootstrap calibration, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hypoexp import gof
 from hypoexp import (
     DataError,
     GofConfig,
@@ -14,7 +16,13 @@ from hypoexp import (
     gof_statistic,
     gof_test,
 )
-from hypoexp.gof import T_MAX, _bootstrap_rows, _grid_transforms, _statistic_rows
+from hypoexp.gof import (
+    T_MAX,
+    _bootstrap_rows,
+    _grid_means,
+    _grid_transforms,
+    _statistic_rows,
+)
 from hypoexp.identities import _characterization_residuals
 
 
@@ -137,6 +145,75 @@ class TestResidualKernel:
         for n, row in zip(range(2, 7), rows):
             alone = _characterization_residuals(n, 3.0, phi_t, phi_wt, n)
             np.testing.assert_array_equal(row, alone[0])
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridMeans:
+    """The power-sum kernel behind the empirical transforms."""
+
+    @staticmethod
+    def _layouts(cfg):
+        # (step, exponents) of each table _grid_transforms builds
+        dt = T_MAX / cfg.grid_points
+        g = np.arange(1, cfg.grid_points + 1)
+        if cfg.w == 2.0:
+            return [(dt, np.concatenate([g, 2 * g]))]
+        return [(dt, g), (cfg.w * dt, g)]
+
+    @pytest.mark.parametrize("w", [2.0, 3.0, 1e19])
+    @pytest.mark.parametrize("grid_points", [1, 64, 4096])  # 1: tables of one or two powers
+    @pytest.mark.parametrize("shape", [(3, 90), (1, 4000)])
+    def test_matches_direct_exp(self, shape, grid_points, w):
+        rng = np.random.default_rng(21)
+        rows = rng.exponential(1.0, shape)
+        rows[-1] = rng.lognormal(0.0, 1.0, shape[1])
+        y = rows / rows.mean(axis=1, keepdims=True)
+        for step, exponents in self._layouts(GofConfig(w=w, grid_points=grid_points)):
+            got = _grid_means(y, step, exponents)
+            want = np.stack([np.exp(-e * step * y).mean(axis=1) for e in exponents], axis=1)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_one_row_crosses_observation_chunks(self):
+        # the (1, 4000) case above sums its observations in several chunks:
+        # a table of S + A >= 2*sqrt(e_max) floats per observation leaves
+        # fewer than 4000 observations per chunk
+        for grid_points in (64, 4096):
+            assert 4000 > gof._TABLE_BYTES / (8 * 2 * math.sqrt(2 * grid_points))
+
+    def test_rows_equal_one_row_calls(self):
+        # 40 rows of 200 span several row chunks of the table buffer
+        rows = _bootstrap_rows(200, 40, 5, 1)
+        y = rows / rows.mean(axis=1, keepdims=True)
+        for step, exponents in self._layouts(GofConfig(w=3.0)) + self._layouts(GofConfig()):
+            whole = _grid_means(y, step, exponents)
+            for r in range(40):
+                np.testing.assert_array_equal(whole[r], _grid_means(y[r : r + 1], step, exponents)[0])
+
+    @pytest.mark.parametrize("w", [2.0, 3.0])
+    def test_replicates_do_not_depend_on_block_size(self, monkeypatch, w):
+        x = np.random.default_rng(22).lognormal(0.0, 1.0, 150)
+        cfg = GofConfig(w=w, bootstrap_reps=199, seed=9)
+        default = gof_test(x, cfg).replicates
+        for block_bytes in (1, 1 << 30):  # one row per block; all rows in one block
+            monkeypatch.setattr(gof, "_BLOCK_BYTES", block_bytes)
+            np.testing.assert_array_equal(gof_test(x, cfg).replicates, default)
+
+    def test_residual_curve_memory_is_bounded(self):
+        x = np.random.default_rng(23).exponential(1.0, 1_000_000)
+        assert _traced_peak(gof_residual_curve, x) <= 24 * 2**20
+
+    def test_bootstrap_memory_is_bounded(self):
+        x = np.random.default_rng(24).exponential(1.0, 200)
+        assert _traced_peak(gof_test, x) <= 2.5 * 2**20
 
 
 class TestStatistic:

@@ -1,6 +1,7 @@
 """Repository tools."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -34,3 +35,56 @@ class A:
 '''
     # code: import, class, def, the two-line string assignment, the two-line return
     assert _load("src_lines").code_lines(text) == 7
+
+
+def _run_output(workload, seed, metrics, trace=0, failed=0, commit="base"):
+    """Canned standard output of one perfbench/run.py run."""
+    env = {"git_commit": commit, "nproc": 2}
+    report = {"workload": workload, "seed": seed, "trace": trace, "ops": 100, "metrics": {}}
+    result = {"correct": failed == 0, "attempted": 100, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
+    return "\n".join(["env " + json.dumps(env), "report " + json.dumps(report),
+                      json.dumps(result)]) + "\n"
+
+
+_SPEC = [{"name": "op_p90_ms", "unit": "ms", "better": "lower"},
+         {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+
+
+def test_bench_pairs_summarizes_paired_runs_per_workload_and_side():
+    base = [_run_output("gof", s, {"op_p90_ms": p, "ops_per_s": r})
+            for s, p, r in [(1, 30.0, 10.0), (2, 28.0, 12.0), (3, 32.0, 11.0)]]
+    change = [_run_output("gof", s, {"op_p90_ms": p, "ops_per_s": r}, commit="change")
+              for s, p, r in [(1, 20.0, 9.0), (2, 21.0, 13.0), (3, 33.0, 14.0)]]
+    # an unpaired seed, a traced run and a one-sided workload do not count
+    change.append(_run_output("gof", 4, {"op_p90_ms": 1.0, "ops_per_s": 99.0}, commit="change"))
+    base.append(_run_output("gof", 3, {"other": 1.0}, trace=1))
+    change.append(_run_output("other", 1, {"op_p90_ms": 5.0, "ops_per_s": 1.0}, failed=2))
+    out = _load("bench_pairs").summarize(base, change, _SPEC)
+
+    assert out["env"] == {"base": {"git_commit": "base", "nproc": 2},
+                          "change": {"git_commit": "change", "nproc": 2}}
+    assert list(out["workloads"]) == ["gof"]  # "other" ran on one side only
+    gof = out["workloads"]["gof"]
+    assert gof["pairs"] == 3 and gof["seeds"] == [1, 2, 3]
+    assert gof["failed"] == {"base": 0, "change": 0}
+    p90 = gof["metrics"]["op_p90_ms"]
+    assert p90["base"] == {"median": 30.0, "q1": 29.0, "q3": 31.0}
+    assert p90["change"] == {"median": 21.0, "q1": 20.5, "q3": 27.0}
+    assert p90["change_better_in"] == 2 and p90["better"] == "lower"
+    # higher is better: 9 < 10 loses, 13 > 12 and 14 > 11 win
+    assert out["workloads"]["gof"]["metrics"]["ops_per_s"]["change_better_in"] == 2
+
+
+def test_bench_pairs_writes_the_summary_file(tmp_path):
+    tool = _load("bench_pairs")
+    metrics = {"setup_s": 0.1, "op_p90_ms": 20.0, "peak_rss_mb": 85.0}
+    (tmp_path / "b.out").write_text(_run_output("gof", 1, metrics))
+    (tmp_path / "c.out").write_text(_run_output("gof", 1, dict(metrics, op_p90_ms=15.0)))
+    tool.main(["--base", str(tmp_path / "b.out"), "--change", str(tmp_path / "c.out"),
+               "--out", str(tmp_path / "bench.json")])
+    out = json.loads((tmp_path / "bench.json").read_text())
+    # the metrics are BENCHMARK.json's end-to-end list; one pair is its own spread
+    assert sorted(out["workloads"]["gof"]["metrics"]) == ["op_p90_ms", "peak_rss_mb", "setup_s"]
+    assert out["workloads"]["gof"]["metrics"]["op_p90_ms"]["change"]["q1"] == 15.0
+    assert out["workloads"]["gof"]["metrics"]["op_p90_ms"]["change_better_in"] == 1

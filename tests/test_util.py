@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypoexp import EME, Erlang, GofConfig, ParameterError, regularized_upper_gamma
+from hypoexp import EME, Erlang, Exponential, GofConfig, ParameterError, regularized_upper_gamma
 from hypoexp._util import check_positive_int, check_positive_real, check_w
 from hypoexp.identities import binomial_sum_residual
 
@@ -55,6 +55,28 @@ def test_real_validators_return_floats():
     assert type(check_w(2)) is float
     with pytest.raises(ParameterError):
         check_w(1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Exponential("abc"), "rate must"),  # float() raised ValueError
+        (lambda: GofConfig(w="x"), "w must"),
+        (lambda: EME(2, None, 3.0), "rate must"),  # float() raised TypeError
+        (lambda: GofConfig(grid_decay=None), "grid_decay must"),
+        (lambda: Exponential(10**400), "rate must"),  # float() raised OverflowError
+    ],
+)
+def test_real_validators_turn_conversion_errors_into_parameter_errors(call, message):
+    with pytest.raises(ParameterError, match=message) as info:
+        call()
+    assert isinstance(info.value.__cause__, (TypeError, ValueError, OverflowError))
+
+
+def test_real_validators_still_convert_numeric_strings():
+    assert Exponential("2.5").rate == 2.5
+    assert GofConfig(w="3", grid_decay="0.5").w == 3.0
+    assert check_w("0.5") == 0.5
 
 
 def test_lazy_module_imports_on_first_read_and_caches():
