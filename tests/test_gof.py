@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypoexp import gof
 from hypoexp import (
     DataError,
     GofConfig,
     ParameterError,
     empirical_laplace,
+    gof,
     gof_residual_curve,
     gof_statistic,
     gof_test,
