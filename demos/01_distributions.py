@@ -50,5 +50,5 @@ print("=" * 70)
 rng = np.random.default_rng(20)
 batch = eme.sample(200_000, rng)
 print(f"\n{len(batch)} draws from {eme}")
-print(f"  sample mean {batch.values.mean():.4f}  (law: {eme.mean:.4f})")
-print(f"  sample var  {batch.values.var():.4f}  (law: {eme.var:.4f})")
+print(f"  sample mean {batch.mean():.4f}  (law: {eme.mean:.4f})")
+print(f"  sample var  {batch.var():.4f}  (law: {eme.var:.4f})")

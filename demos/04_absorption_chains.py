@@ -27,7 +27,7 @@ N = 100_000
 print("chain of five unit-rate states (absorption after the fifth)")
 chain5 = StageChain((1.0,) * 5)
 times = simulate_absorption(chain5, N, rng)
-print(f"  simulated mean {times.values.mean():.4f}  analytic {chain5.mean:.4f}")
+print(f"  simulated mean {times.mean():.4f}  analytic {chain5.mean:.4f}")
 check = validate_against(times, Erlang(5, 1.0))
 print(f"  KS vs Erlang(5, 1): {check.ks_distance:.5f} "
       f"(1% threshold {check.threshold:.5f}) -> {'pass' if check.passed else 'FAIL'}")

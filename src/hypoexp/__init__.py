@@ -24,7 +24,6 @@ from .distributions import (
     Erlang,
     Exponential,
     Hypoexponential,
-    Sample,
     StageSum,
     family_name,
     make_distribution,
@@ -89,7 +88,6 @@ __all__ = [
     "Erlang",
     "Exponential",
     "Hypoexponential",
-    "Sample",
     "StageSum",
     "family_name",
     "make_distribution",

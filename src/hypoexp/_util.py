@@ -109,9 +109,8 @@ def as_points(x, name="x"):
 
 
 def as_values(data, require_positive=False, what="data"):
-    """Coerce a Sample or array-like to a 1-D float array, validating it."""
-    values = getattr(data, "values", data)
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    """Coerce an array-like to a 1-D float array, validating it."""
+    arr = np.atleast_1d(np.asarray(data, dtype=float))
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:

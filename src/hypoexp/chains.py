@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_values, check_positive_int
-from .distributions import Hypoexponential, Sample
+from .distributions import Hypoexponential
 from .errors import ParameterError
 
 # Asymptotic 1% Kolmogorov-Smirnov critical constant: pass below 1.63/sqrt(N).
@@ -38,10 +38,11 @@ def eme_chain(k, rate_main, rate_last):
     return StageChain(rates=(rate_main,) * k + (rate_last,))
 
 
-def simulate_absorption(chain, count, rng, label=None):
-    """Absorption times: per draw, the sum of one exponential holding time per
-    stage (inverse-CDF sampling; deterministic given the generator state)."""
-    return chain.sample(count, rng, label if label is not None else f"absorption{chain.rates}")
+def simulate_absorption(chain, count, rng):
+    """Absorption times as a float64 array: per draw, the sum of one
+    exponential holding time per stage (inverse-CDF sampling; deterministic
+    given the generator state)."""
+    return chain.sample(count, rng)
 
 
 def ks_distance(data, dist):
@@ -58,7 +59,7 @@ def ks_distance(data, dist):
 class SimResult:
     """Comparison of simulated times against an analytic law."""
 
-    times: Sample
+    times: np.ndarray
     ks_distance: float
     reference: object
 
@@ -75,5 +76,5 @@ def validate_against(times, dist):
     """KS-compare absorption times with a distribution from this package."""
     if not hasattr(dist, "cdf"):
         raise ParameterError(f"reference must be a distribution, got {dist!r}")
-    sample = times if isinstance(times, Sample) else Sample(as_values(times))
-    return SimResult(times=sample, ks_distance=ks_distance(sample, dist), reference=dist)
+    times = as_values(times)
+    return SimResult(times=times, ks_distance=ks_distance(times, dist), reference=dist)

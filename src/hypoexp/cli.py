@@ -79,8 +79,8 @@ def _write_or_print(args, sample, record, message):
     else:
         _emit(
             args,
-            [{"type": "value", "value": float(v)} for v in sample.values],
-            [f"{v:.17g}" for v in sample.values],
+            [{"type": "value", "value": float(v)} for v in sample],
+            [f"{v:.17g}" for v in sample],
         )
     return 0
 
@@ -206,22 +206,14 @@ def _cmd_verify(args):
         )
     else:
         report = run_identity_checks(exact_max_n=args.max_n)
-    if getattr(args, "format", "text") == "structured":
-        for family in report.families:
-            print(json.dumps({"type": "verify-family", **family.to_record()}, sort_keys=True))
-        print(
-            json.dumps(
-                {
-                    "type": "verify-total",
-                    "checks": report.total_checks,
-                    "failures": report.total_failures,
-                    "worst_float_residual": report.worst_float_residual,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(report.render_text())
+    records = [{"type": "verify-family", **family.to_record()} for family in report.families]
+    records.append({
+        "type": "verify-total",
+        "checks": report.total_checks,
+        "failures": report.total_failures,
+        "worst_float_residual": report.worst_float_residual,
+    })
+    _emit(args, records, [report.render_text()])
     return 0 if report.total_failures == 0 else 1
 
 

@@ -62,24 +62,6 @@ def _std_exp(rng, shape):
     return -np.log1p(-rng.random(shape))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """A batch of nonnegative observations with a provenance label."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        arr = as_values(self.values, what="sample values")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self):
-        return self.values.size
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
 class StageSum:
     """Sum of independent exponential stages.  A subclass gives ``stages``:
     the rates ``lam`` and how many stages ``m`` run at each.  The moments and
@@ -106,10 +88,11 @@ class StageSum:
         lam, m = self.stages
         return ((lam / (lam + t[..., None])) ** m).prod(axis=-1)
 
-    def sample(self, count, rng, label=None):
+    def sample(self, count, rng):
+        """``count`` draws as a 1-D float64 array; DataError if one overflows."""
         count = check_positive_int(count, "count")
         draws = _std_exp(rng, (count, int(self.stages[1].sum())))
-        return Sample(self._sum_stages(draws), label if label is not None else repr(self))
+        return as_values(self._sum_stages(draws), what="sample values")
 
     def _sum_stages(self, draws):
         """One value per row of standard exponential draws, one column per

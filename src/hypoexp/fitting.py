@@ -126,7 +126,7 @@ def fit_eme(data, n=None, max_n=5):
 
     Parameters
     ----------
-    data : Sample or array-like
+    data : array-like
         Strictly positive observations.
     n : int, optional
         Stage count.  When omitted, n = 1..max_n are fitted and the best

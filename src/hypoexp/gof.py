@@ -116,10 +116,17 @@ class GofResult:
 
 def empirical_laplace(data, t):
     """Empirical Laplace transform (1/N) sum_i exp(-t x_i), t >= 0; a float
-    for a scalar ``t``, else an array of t's shape."""
+    for a scalar ``t``, else an array of t's shape.  The sum runs over chunks
+    of observations whose terms fill at most ``_TABLE_BYTES``."""
     x = as_values(data)
     t = as_points(t, "t")
-    vals = np.exp(-np.multiply.outer(t, x)).mean(axis=-1)
+    neg_t = -np.asarray(t)
+    width = max(1, _TABLE_BYTES // (8 * max(1, neg_t.size)))
+    total = np.zeros(neg_t.shape)
+    for c in range(0, x.size, width):
+        terms = np.multiply.outer(neg_t, x[c : c + width])
+        total += np.exp(terms, out=terms).sum(axis=-1)
+    vals = total / x.size
     return float(vals) if isinstance(t, float) else vals
 
 

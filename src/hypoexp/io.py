@@ -15,15 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import FAMILIES, Sample, family_name, make_distribution
+from ._util import as_values
+from .distributions import FAMILIES, family_name, make_distribution
 from .errors import DataError, ParameterError
 
 
 def read_samples(path, column=None):
-    """Read a sample batch from ``path``.
+    """Read a sample batch from ``path`` as a 1-D float64 array.
 
     With ``column`` the file is parsed as CSV with a header row; otherwise as
-    one value per line.
+    one value per line.  DataError unless every value is finite and
+    nonnegative and there is at least one.
     """
     path = Path(path)
     try:
@@ -41,7 +43,7 @@ def read_samples(path, column=None):
             cell = (row[column] or "").strip()
             if cell:
                 values.append(_parse_value(cell, path))
-        return Sample(np.asarray(values), label=f"{path}:{column}")
+        return as_values(values, what="sample values")
     # Files of bare values, one per line, take one C parse of the text read
     # above.  Comment lines and blank files skip it; literals such as 1_000
     # that float() accepts and malformed files fail it.  All of those take the
@@ -52,13 +54,13 @@ def read_samples(path, column=None):
         except ValueError:
             table = None
         if table is not None and table.shape[1] == 1:
-            return Sample(table[:, 0], label=str(path))
+            return as_values(table[:, 0], what="sample values")
     values = []
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             values.append(_parse_value(line, path))
-    return Sample(np.asarray(values), label=str(path))
+    return as_values(values, what="sample values")
 
 
 def _parse_value(token, path):
@@ -70,7 +72,7 @@ def _parse_value(token, path):
 
 def write_samples(path, data):
     """Write a batch as plain text, one value per line (round-trip exact)."""
-    values = np.asarray(getattr(data, "values", data), dtype=float)
+    values = np.asarray(data, dtype=float)
     Path(path).write_text("".join(f"{v:.17g}\n" for v in values))
 
 
@@ -88,6 +90,8 @@ def dist_to_dict(dist):
 
 def dist_from_dict(record):
     """Inverse of :func:`dist_to_dict`."""
+    if not isinstance(record, dict):
+        raise ParameterError(f"parameter record must be a JSON object, got {record!r}")
     if "family" not in record:
         raise ParameterError("parameter record is missing the 'family' key")
     params = {k: v for k, v in record.items() if k != "family"}

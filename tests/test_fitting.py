@@ -45,7 +45,7 @@ class TestMomentStart:
     def test_inverts_true_moments(self):
         # large sample: the start should already be near the truth
         d = EME(2, 1.0, 4.0)
-        x = d.sample(200_000, np.random.default_rng(0)).values
+        x = d.sample(200_000, np.random.default_rng(0))
         starts = moment_start(x, 2)
         best = min(starts, key=lambda rw: abs(rw[1] - 4.0))
         assert best[0] == pytest.approx(1.0, rel=0.1)
@@ -53,14 +53,14 @@ class TestMomentStart:
 
     def test_extreme_scale_does_not_overflow(self):
         # mean^2 and the variance overflow at 1e200; the ratio must not
-        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(7)).values
+        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(7))
         for (r1, w1), (r2, w2) in zip(moment_start(x, 2), moment_start(1e200 * x, 2)):
             assert r2 * 1e200 == pytest.approx(r1, rel=1e-12)
             assert w2 == pytest.approx(w1, rel=1e-12)
 
     def test_offers_both_sides_when_ambiguous(self):
         # near-Erlang data: the moment map admits roots on both sides of 1
-        x = Erlang(3, 1.0).sample(50_000, np.random.default_rng(1)).values
+        x = Erlang(3, 1.0).sample(50_000, np.random.default_rng(1))
         starts = moment_start(x, 2)
         assert len(starts) >= 1
         assert all(w > 0.0 and rate > 0.0 for rate, w in starts)
@@ -84,7 +84,7 @@ class TestRecovery:
 
     def test_likelihood_not_below_moment_start(self):
         d = EME(2, 1.5, 3.0)
-        x = d.sample(20_000, np.random.default_rng(4)).values
+        x = d.sample(20_000, np.random.default_rng(4))
         fit, ll = fit_eme(x, n=2)
         for rate0, w0 in moment_start(x, 2):
             assert ll >= eme_log_likelihood(x, EME(2, rate0, w0)) - 1e-6
@@ -93,7 +93,7 @@ class TestRecovery:
         # the fit runs on the data divided by their mean, so the 1e200 scale
         # never enters the likelihood; before that this seed matched only to
         # 7.8e-7.  The tighter bound over ten seeds is the test below.
-        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(0)).values
+        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(0))
         fit, _ = fit_eme(x, n=2)
         scaled, _ = fit_eme(1e200 * x, n=2)
         assert scaled.rate == pytest.approx(fit.rate / 1e200, rel=1e-6)
@@ -102,7 +102,7 @@ class TestRecovery:
     @pytest.mark.parametrize("seed", range(10))
     def test_scale_equivariance_to_1e7(self, seed):
         # summed in the data's own scale these seeds matched to 1.1e-7..9.0e-7
-        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(seed)).values
+        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(seed))
         fit, ll = fit_eme(x, n=2)
         scaled, ll_scaled = fit_eme(1e200 * x, n=2)
         assert scaled.rate * 1e200 == pytest.approx(fit.rate, rel=1e-7)
@@ -112,7 +112,7 @@ class TestRecovery:
     def test_n1_returns_the_form_with_w_at_least_one(self):
         # EME(1, r, w) and EME(1, r/w, 1/w) are one law; the fit used to
         # return either, by rounding (w = 1.952 here, 0.512 at scale 1e200)
-        x = EME(1, 0.5, 2.0).sample(2_000, np.random.default_rng(0)).values
+        x = EME(1, 0.5, 2.0).sample(2_000, np.random.default_rng(0))
         fit, ll = fit_eme(x, n=1)
         scaled, _ = fit_eme(1e200 * x, n=1)
         assert fit.w >= 1.0 and scaled.w >= 1.0
@@ -124,7 +124,7 @@ class TestRecovery:
     def test_score_vanishes_at_the_fit(self):
         # the returned point is stationary: finite differences of the
         # log-likelihood in (log rate, log w) are flat there
-        x = EME(3, 2.0, 0.25).sample(20_000, np.random.default_rng(8)).values
+        x = EME(3, 2.0, 0.25).sample(20_000, np.random.default_rng(8))
         fit, ll = fit_eme(x, n=3)
         assert ll == pytest.approx(eme_log_likelihood(x, fit), rel=1e-12)
         h = 1e-5
@@ -135,14 +135,14 @@ class TestRecovery:
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
-        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(9)).values
+        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(9))
         with pytest.raises(ConvergenceError, match="iteration cap"):
             fit_eme(x, n=2)
 
     def test_end_away_from_a_stationary_point_raises(self, monkeypatch):
         # no status is accepted without the score test passing
         monkeypatch.setattr(fitting, "STATIONARY_SCORE", 1e-300)
-        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(9)).values
+        x = EME(2, 1.0, 4.0).sample(5_000, np.random.default_rng(9))
         with pytest.raises(ConvergenceError, match="stationary"):
             fit_eme(x, n=2)
 
@@ -155,7 +155,7 @@ class TestRecovery:
 
     def test_search_prefers_better_likelihood_than_fixed_one(self):
         d = EME(3, 1.0, 5.0)
-        x = d.sample(20_000, np.random.default_rng(6)).values
+        x = d.sample(20_000, np.random.default_rng(6))
         _, ll_one = fit_eme(x, n=1)
         best, ll_best = fit_eme(x, n=None, max_n=4)
         assert ll_best >= ll_one

@@ -63,6 +63,23 @@ class TestEmpiricalLaplace:
         with pytest.raises(DataError):
             empirical_laplace([], 1.0)
 
+    @pytest.mark.parametrize("n_obs", [1, 1000, 100_000])
+    def test_chunked_sum_matches_the_outer_product(self, n_obs):
+        x = np.random.default_rng(n_obs).exponential(1.0, n_obs)
+        t = np.linspace(0.0, 10.0, 64).reshape(8, 8)
+        want = np.exp(-np.multiply.outer(t, x)).mean(-1)
+        got = empirical_laplace(x, t)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        scalar = empirical_laplace(x, 0.7)
+        assert type(scalar) is float
+        assert scalar == pytest.approx(np.exp(-0.7 * x).mean(), rel=1e-14, abs=0.0)
+
+    def test_memory_is_bounded_in_the_sample_size(self):
+        x = np.random.default_rng(2).exponential(1.0, 100_000)
+        t = np.linspace(0.0, 10.0, 64)
+        assert _traced_peak(empirical_laplace, x, t) <= 4_000_000
+
 
 class TestConfig:
     def test_bootstrap_reps_floor(self):

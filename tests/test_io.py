@@ -1,5 +1,6 @@
 """Sample file formats and parameter serialization."""
 
+import json
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypoexp import (
     Exponential,
     Hypoexponential,
     ParameterError,
-    Sample,
     dist_from_dict,
     dist_to_dict,
     load_dist,
@@ -21,6 +21,7 @@ from hypoexp import (
     save_dist,
     write_samples,
 )
+from hypoexp._util import as_values
 
 
 class TestSampleFiles:
@@ -29,20 +30,18 @@ class TestSampleFiles:
         values = np.array([0.0, 1.5, 2.25, 1e-12, 17.125])
         write_samples(path, values)
         back = read_samples(path)
-        np.testing.assert_array_equal(back.values, values)
-        assert back.label == str(path)
+        np.testing.assert_array_equal(back, values)
 
     def test_plain_skips_blank_and_comment_lines(self, tmp_path):
         path = tmp_path / "values.txt"
         path.write_text("# header comment\n1.0\n\n2.0\n")
-        np.testing.assert_array_equal(read_samples(path).values, [1.0, 2.0])
+        np.testing.assert_array_equal(read_samples(path), [1.0, 2.0])
 
     def test_csv_column(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("idx,duration,other\n0,1.5,9\n1,2.5,9\n2,0.25,9\n")
         batch = read_samples(path, column="duration")
-        np.testing.assert_array_equal(batch.values, [1.5, 2.5, 0.25])
-        assert batch.label.endswith(":duration")
+        np.testing.assert_array_equal(batch, [1.5, 2.5, 0.25])
 
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -75,8 +74,30 @@ class TestSampleFiles:
 
     def test_write_accepts_sample(self, tmp_path):
         path = tmp_path / "s.txt"
-        write_samples(path, Sample(np.array([1.0, 2.0]), label="x"))
-        np.testing.assert_array_equal(read_samples(path).values, [1.0, 2.0])
+        batch = Exponential(1.0).sample(3, np.random.default_rng(0))
+        write_samples(path, batch)
+        assert read_samples(path).tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("column", [None, "x"])
+    def test_read_returns_a_float64_array(self, tmp_path, column):
+        path = tmp_path / "values.txt"
+        path.write_text("x\n1\n2.5\n" if column else "1\n2.5\n")
+        batch = read_samples(path, column=column)
+        assert type(batch) is np.ndarray
+        assert batch.dtype == np.float64 and batch.ndim == 1
+        np.testing.assert_array_equal(batch, [1.0, 2.5])
+
+    @pytest.mark.parametrize("column", [None, "x"])
+    @pytest.mark.parametrize("body, message", [
+        ("1\ninf\n", "contains non-finite values"),
+        ("1\n-3\n", "must be nonnegative"),
+        ("", "is empty"),
+    ])
+    def test_bad_values_are_named(self, tmp_path, column, body, message):
+        path = tmp_path / "values.txt"
+        path.write_text(f"{column}\n{body}" if column else body)
+        with pytest.raises(DataError, match=f"^sample values {message}$"):
+            read_samples(path, column=column)
 
 
 def _read_by_lines(path):
@@ -91,7 +112,7 @@ def _read_by_lines(path):
                 values.append(float(line))
             except ValueError:
                 raise DataError(f"{path}: not a decimal value: {line!r}") from None
-    return Sample(np.asarray(values), label=str(path))
+    return as_values(values, what="sample values")
 
 
 def _outcome(read, path):
@@ -99,7 +120,7 @@ def _outcome(read, path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return read(path).values.tobytes()
+            return read(path).tobytes()
         except DataError as exc:
             return str(exc)
 
@@ -154,7 +175,7 @@ class TestPlainTextGrammar:
         values[:3] = [0.0, 5e-324, 1.7976931348623157e308]
         path = tmp_path / "values.txt"
         write_samples(path, values)
-        assert read_samples(path).values.tobytes() == values.tobytes()
+        assert read_samples(path).tobytes() == values.tobytes()
 
     def test_bad_token_is_named(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -209,6 +230,18 @@ class TestParameterRecords:
             dist_from_dict({"n": 2})
         with pytest.raises(ParameterError):
             dist_from_dict({"family": "cauchy"})
+
+    @pytest.mark.parametrize("text", ["3", "null", '["family"]', '"family"'])
+    def test_record_that_is_not_an_object(self, text):
+        with pytest.raises(ParameterError, match="parameter record must be a JSON object"):
+            dist_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("text", ["3", "null", '["family"]', '"family"'])
+    def test_loaded_record_that_is_not_an_object(self, text, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match="parameter record must be a JSON object"):
+            load_dist(path)
 
     @pytest.mark.parametrize("family", ["erlang", "eme"])
     @pytest.mark.parametrize("bad_n", [2.7, True, 2.0, "2"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hypoexp import (
     EME,
+    DataError,
     DomainError,
     Erlang,
     Exponential,
@@ -147,7 +148,7 @@ DRAW_CASES = [
 @pytest.mark.parametrize("dist", DRAW_CASES, ids=repr)
 def test_draws_match_the_family_layout_bit_for_bit(dist):
     for seed in range(3):
-        got = dist.sample(1000, np.random.default_rng([77, seed])).values
+        got = dist.sample(1000, np.random.default_rng([77, seed]))
         want = _reference_draws(dist, 1000, np.random.default_rng([77, seed]))
         np.testing.assert_array_equal(got, want)
 
@@ -157,9 +158,22 @@ def test_simulate_absorption_is_the_chain_draw(rates):
     chain = StageChain(rates)
     times = simulate_absorption(chain, 500, np.random.default_rng(11))
     want = _reference_draws(chain, 500, np.random.default_rng(11))
-    np.testing.assert_array_equal(times.values, want)
-    assert times.label == f"absorption{chain.rates}"
-    assert simulate_absorption(chain, 5, np.random.default_rng(0), label="x").label == "x"
+    np.testing.assert_array_equal(times, want)
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.3), Erlang(3, 0.7), Hypoexponential((1.0, 2.0)),
+                                  EME(2, 1.0, 4.0), StageChain((1.0, 0.5))], ids=repr)
+def test_draws_are_a_float64_array(dist):
+    for draws in (dist.sample(7, np.random.default_rng(1)),
+                  simulate_absorption(dist, 7, np.random.default_rng(1))):
+        assert type(draws) is np.ndarray
+        assert draws.dtype == np.float64 and draws.shape == (7,)
+
+
+def test_overflowing_draws_raise():
+    # 1/1e-310 is past the float range, so every draw overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+        Exponential(1e-310).sample(5, np.random.default_rng(0))
 
 
 def test_every_family_is_a_stage_sum():

@@ -2,13 +2,18 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+import hypoexp
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _load(name, folder=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -88,3 +93,34 @@ def test_bench_pairs_writes_the_summary_file(tmp_path):
     assert sorted(out["workloads"]["gof"]["metrics"]) == ["op_p90_ms", "peak_rss_mb", "setup_s"]
     assert out["workloads"]["gof"]["metrics"]["op_p90_ms"]["change"]["q1"] == 15.0
     assert out["workloads"]["gof"]["metrics"]["op_p90_ms"]["change_better_in"] == 1
+
+
+def _entry_objects(tracing):
+    """The object behind every name the benchmark's tracer wraps."""
+    objects = []
+    for owner_path, attr, _, _ in tracing._entry_points():
+        owner = tracing._resolve(owner_path)
+        objects.append(owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr))
+    return objects
+
+
+def test_benchmark_tracer_wraps_every_entry_point_and_restores_it(monkeypatch):
+    # a rename in src/ must fail here, not zero a layer metric of a traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = _load("tracing", PERFBENCH)
+    before = _entry_objects(tracing)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert tracer.absent == {}
+        during = _entry_objects(tracing)
+    assert tracer.absent == {}
+    assert all(a is not b for a, b in zip(before, during))
+    assert all(a is b for a, b in zip(before, _entry_objects(tracing)))
+
+
+def test_benchmark_reads_only_names_that_hypoexp_exports():
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        names.update(re.findall(r"\bhx\.([A-Za-z_]\w*)", path.read_text()))
+    assert names  # the workloads call the library as ``hx``
+    assert sorted(n for n in names if not hasattr(hypoexp, n)) == []
