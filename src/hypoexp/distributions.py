@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,12 @@ ERLANG_LIMIT_TOL = 1e-6
 # a point's residual then sums about 90 terms.
 _WINDOW = 32.0
 
+# Bytes of standard exponential draws that ``StageSum.sample`` holds at once.
+_DRAW_BYTES = 1 << 17
+
+# Bytes of ``_Uniformization`` tables kept for reuse by equal rate vectors.
+_CACHE_BYTES = 32 << 20
+
 
 def _pointwise(method):
     """Check the points of ``method(self, x)`` with ``as_points``; the method
@@ -58,8 +66,11 @@ def _pointwise(method):
 
 
 def _std_exp(rng, shape):
-    # inverse-CDF draw; 1 - U lies in (0, 1] so log1p never sees -1
-    return -np.log1p(-rng.random(shape))
+    # inverse-CDF draw, in place; 1 - U lies in (0, 1] so log1p never sees -1
+    draws = rng.random(shape)
+    np.negative(draws, out=draws)
+    np.log1p(draws, out=draws)
+    return np.negative(draws, out=draws)
 
 
 class StageSum:
@@ -89,15 +100,26 @@ class StageSum:
         return ((lam / (lam + t[..., None])) ** m).prod(axis=-1)
 
     def sample(self, count, rng):
-        """``count`` draws as a 1-D float64 array; DataError if one overflows."""
+        """``count`` draws as a 1-D float64 array; DataError if one overflows.
+
+        The standard exponential draws come in blocks of rows that fill at
+        most ``_DRAW_BYTES``, one column per stage.  ``Generator.random``
+        fills row-major and continues its stream from call to call, so the
+        draws, and the generator's state after them, do not depend on the
+        block size."""
         count = check_positive_int(count, "count")
-        draws = _std_exp(rng, (count, int(self.stages[1].sum())))
-        return as_values(self._sum_stages(draws), what="sample values")
+        stages = int(self.stages[1].sum())
+        rows = max(1, _DRAW_BYTES // (8 * stages))
+        out = np.empty(count)
+        with np.errstate(over="ignore"):  # an overflow is the DataError below
+            for start in range(0, count, rows):
+                stop = min(start + rows, count)
+                out[start:stop] = self._sum_stages(_std_exp(rng, (stop - start, stages)))
+        return as_values(out, what="sample values")
 
     def _sum_stages(self, draws):
         """One value per row of standard exponential draws, one column per
-        stage.  Divides in place: the draws are the caller's scratch, and a
-        copy would double the peak memory of a large sample."""
+        stage.  Divides in place: the draws are the caller's scratch."""
         draws /= self.stage_rates
         return draws.sum(axis=1)
 
@@ -158,7 +180,7 @@ class Hypoexponential(StageSum):
     It is also the absorption time of the chain that leaves stage i at rate
     ``rates[i]``: ``chains.StageChain`` is this class.  ``pdf`` and ``cdf``
     come from ``_Uniformization``, built on the first evaluation of a rate
-    vector and cached.
+    vector and cached by ``_uniformization``.
     """
 
     rates: tuple
@@ -172,14 +194,37 @@ class Hypoexponential(StageSum):
 
     @_pointwise
     def pdf(self, x):
-        return self.rates[-1] * _Uniformization(self.rates)(x, -2)
+        return self.rates[-1] * _uniformization(self.rates)(x, -2)
 
     @_pointwise
     def cdf(self, x):
-        return np.minimum(_Uniformization(self.rates)(x, -1), 1.0)
+        return np.minimum(_uniformization(self.rates)(x, -1), 1.0)
 
 
-@functools.lru_cache(maxsize=32)  # one set-up per rate vector, shared by equal laws
+_setups = OrderedDict()  # rate vector -> _Uniformization, least recently used first
+_setups_lock = threading.Lock()
+_cached_bytes = 0  # the sum of the cached set-ups' nbytes
+
+
+def _uniformization(rates):
+    """The ``_Uniformization`` of a rate vector, one set-up shared by equal
+    laws.  Set-ups are kept while their tables fit in ``_CACHE_BYTES``, the
+    least recently used dropped first; a larger one is built per call."""
+    global _cached_bytes
+    with _setups_lock:
+        if rates in _setups:
+            _setups.move_to_end(rates)
+            return _setups[rates]
+    setup = _Uniformization(rates)  # outside the lock: a large set-up takes a while
+    with _setups_lock:
+        if rates not in _setups and setup.nbytes <= _CACHE_BYTES:
+            _setups[rates] = setup
+            _cached_bytes += setup.nbytes
+            while _cached_bytes > _CACHE_BYTES:
+                _cached_bytes -= _setups.popitem(last=False)[1].nbytes
+    return setup
+
+
 class _Uniformization:
     """Density and CDF of a stage chain by uniformization (Jensen 1953).
 
@@ -237,6 +282,8 @@ class _Uniformization:
         if not enough[-1] or self.powers[-1][0, :-1].any():
             raise ConvergenceError(f"rates {rates} are beyond the range of uniformization")
         self.powers[-1][0, -1] = 1.0  # e_0 M^cap: the transient mass has underflowed
+        # bytes held: ``coef`` is a view that keeps all of ``terms``
+        self.nbytes = terms.nbytes + self.start.nbytes + sum(m.nbytes for m in self.powers)
 
     def __call__(self, x, col):
         """sum_k pois(k; Lambda x) (e_0 P^k)[col] at the points x."""

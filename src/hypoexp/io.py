@@ -19,6 +19,9 @@ from ._util import as_values
 from .distributions import FAMILIES, family_name, make_distribution
 from .errors import DataError, ParameterError
 
+# Values that ``write_samples`` formats per write.
+_WRITE_BLOCK = 4096
+
 
 def read_samples(path, column=None):
     """Read a sample batch from ``path`` as a 1-D float64 array.
@@ -71,9 +74,16 @@ def _parse_value(token, path):
 
 
 def write_samples(path, data):
-    """Write a batch as plain text, one value per line (round-trip exact)."""
-    values = np.asarray(data, dtype=float)
-    Path(path).write_text("".join(f"{v:.17g}\n" for v in values))
+    """Write a batch as plain text, one value per line (round-trip exact).
+
+    DataError, before the file is opened, unless ``read_samples`` accepts the
+    values.  They are formatted ``_WRITE_BLOCK`` at a time, so the text of a
+    large batch is never held whole."""
+    values = as_values(data, what="sample values")
+    with open(path, "w") as out:
+        for start in range(0, values.size, _WRITE_BLOCK):
+            block = values[start : start + _WRITE_BLOCK].tolist()
+            out.write("".join(f"{v:.17g}\n" for v in block))
 
 
 def dist_to_dict(dist):

@@ -1,6 +1,9 @@
 """Command-line interface: flags, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 
 from hypoexp import Hypoexponential, read_samples, validate_against
 from hypoexp.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +80,21 @@ class TestEval:
 
 
 class TestSampleAndFit:
+    def test_overflowing_sample_prints_only_its_error(self):
+        # 1/1e-310 overflows every draw: the DataError line alone, without
+        # numpy's overflow warning, even with every warning shown
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "always", "-c",
+             "import sys, hypoexp.cli; sys.exit(hypoexp.cli.main(sys.argv[1:]))",
+             "sample", "--dist", "exp", "--lambda", "1e-310", "--count", "5"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode != 0
+        assert done.stdout == ""
+        assert done.stderr == "error: sample values contains non-finite values\n"
+
     def test_sample_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "draws.txt"
         code, out, _ = run_cli(

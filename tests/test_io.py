@@ -21,6 +21,7 @@ from hypoexp import (
     save_dist,
     write_samples,
 )
+from hypoexp import io
 from hypoexp._util import as_values
 
 
@@ -77,6 +78,30 @@ class TestSampleFiles:
         batch = Exponential(1.0).sample(3, np.random.default_rng(0))
         write_samples(path, batch)
         assert read_samples(path).tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("data, message", [
+        ([-1.0, np.nan, np.inf], "contains non-finite values"),
+        ([1.0, -3.0], "must be nonnegative"),
+        ([], "is empty"),
+        ([[1.0, 2.0]], "must be one-dimensional"),
+    ])
+    def test_write_rejects_what_read_rejects(self, tmp_path, data, message):
+        path = tmp_path / "values.txt"
+        with pytest.raises(DataError, match=f"^sample values {message}"):
+            write_samples(path, data)
+        assert not path.exists()
+
+    def test_write_is_the_one_join_byte_for_byte(self, tmp_path, monkeypatch):
+        # the values are formatted a block at a time; the file is the text
+        # of one join over all of them, around and across block boundaries
+        values = EME(20, 1.0, 0.8).sample(10**4, np.random.default_rng(12))
+        values[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e22, 2.5]
+        monkeypatch.setattr(io, "_WRITE_BLOCK", 1000)
+        for count in (1, 999, 1000, 1001, 10**4):
+            path = tmp_path / f"values{count}.txt"
+            write_samples(path, values[:count])
+            assert path.read_bytes() == "".join(f"{v:.17g}\n" for v in values[:count]).encode()
+            assert read_samples(path).tobytes() == values[:count].tobytes()
 
     @pytest.mark.parametrize("column", [None, "x"])
     def test_read_returns_a_float64_array(self, tmp_path, column):

@@ -2,6 +2,10 @@
 rates, checked against each family's closed forms and draw layouts."""
 
 import math
+import sys
+import threading
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from hypoexp import (
     ParameterError,
     StageChain,
     StageSum,
+    distributions,
+    eme_chain,
     simulate_absorption,
 )
 
@@ -151,6 +157,126 @@ def test_draws_match_the_family_layout_bit_for_bit(dist):
         got = dist.sample(1000, np.random.default_rng([77, seed]))
         want = _reference_draws(dist, 1000, np.random.default_rng([77, seed]))
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dist", DRAW_CASES, ids=repr)
+def test_draws_do_not_depend_on_the_block_size(dist):
+    # the draws come in blocks of ``rows`` rows; counts around one block,
+    # an odd count and a large one give the one-call reference bit for bit,
+    # and leave the generator where the reference leaves it
+    rows = distributions._DRAW_BYTES // (8 * len(dist.stage_rates))
+    for count in (1, rows - 1, rows, rows + 1, 12_483, 10**5):
+        got_rng, want_rng = np.random.default_rng([78, count]), np.random.default_rng([78, count])
+        got = dist.sample(count, got_rng)
+        np.testing.assert_array_equal(got, _reference_draws(dist, count, want_rng))
+        assert got_rng.random() == want_rng.random()
+
+
+def test_absorption_draws_run_in_bounded_memory():
+    # 1e5 draws of 21 stages: the one-call layout held two 16.8 MB arrays
+    tracemalloc.start()
+    try:
+        times = simulate_absorption(eme_chain(20, 1, 1.25), 10**5, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= times.nbytes + 2 * 2**20
+
+
+@pytest.fixture
+def empty_setup_cache(monkeypatch):
+    monkeypatch.setattr(distributions, "_setups", OrderedDict())
+    monkeypatch.setattr(distributions, "_cached_bytes", 0)
+
+
+def _cached_setups():
+    setups = distributions._setups
+    assert distributions._cached_bytes == sum(s.nbytes for s in setups.values())
+    return setups
+
+
+@pytest.mark.slow
+def test_cached_setups_stay_within_the_byte_budget(empty_setup_cache):
+    # 40 set-ups of 200 stages hold about 3.6 MB each; a cache bounded by
+    # its entry count kept 32 of them
+    x = np.array([0.5, 150.0])
+    tracemalloc.start()
+    try:
+        for i in range(40):
+            Hypoexponential(tuple(1.0 + 0.01 * (i + k) for k in range(200))).cdf(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    setups = _cached_setups()
+    assert sum(s.nbytes for s in setups.values()) <= distributions._CACHE_BYTES
+    assert held <= distributions._CACHE_BYTES + 2**20
+    assert len(setups) >= 2
+    assert list(setups)[-1] == tuple(1.0 + 0.01 * (39 + k) for k in range(200))
+
+
+def test_equal_laws_share_one_setup(empty_setup_cache):
+    a, b = Hypoexponential((1.0, 2.0, 3.0)), StageChain((1.0, 2.0, 3.0))
+    a.cdf(1.0)
+    first = distributions._uniformization(a.rates)
+    b.pdf(1.0)
+    assert distributions._uniformization(b.rates) is first
+    assert list(_cached_setups()) == [(1.0, 2.0, 3.0)]
+
+
+def test_setup_cache_drops_the_least_recently_used(empty_setup_cache, monkeypatch):
+    laws = [Hypoexponential((1.0, r)) for r in (2.0, 3.0, 4.0)]
+    sizes = [distributions._Uniformization(law.rates).nbytes for law in laws]
+    monkeypatch.setattr(distributions, "_CACHE_BYTES", sizes[0] + sizes[1])
+    x = np.array([0.3, 2.0])
+    laws[0].cdf(x)
+    want = laws[1].cdf(x)
+    laws[0].pdf(x)  # now the most recently used
+    laws[2].cdf(x)
+    assert list(_cached_setups()) == [laws[0].rates, laws[2].rates]
+    # a set-up above the whole budget is built for its call and not kept
+    monkeypatch.setattr(distributions, "_CACHE_BYTES", sizes[1] - 1)
+    np.testing.assert_array_equal(laws[1].cdf(x), want)
+    assert laws[1].rates not in _cached_setups()
+
+
+def test_setup_cache_under_threads(empty_setup_cache, monkeypatch):
+    # more threads than cores ask for five rate vectors, of which the budget
+    # holds two, switching often; set-ups are stand-ins that cost nothing to
+    # build, so most calls insert and evict.  Each call gets its own vector's
+    # set-up, and the byte count stays the cached set-ups' sum.
+    class SetUp:
+        nbytes = 100
+
+        def __init__(self, rates):
+            self.rates = rates
+
+    monkeypatch.setattr(distributions, "_Uniformization", SetUp)
+    monkeypatch.setattr(distributions, "_CACHE_BYTES", 250)
+    keys = [(float(i),) for i in range(5)]
+    wrong = []
+
+    def work(offset):
+        try:
+            for k in range(4000):
+                key = keys[(offset + k * (offset + 1)) % len(keys)]
+                if distributions._uniformization(key).rates != key:
+                    wrong.append(key)
+        except Exception as exc:  # a thread's error would otherwise be lost
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert 1 <= len(_cached_setups()) <= 2
 
 
 @pytest.mark.parametrize("rates", [(2.0,), (1.0, 1.0, 0.25), (1.0, 2.0, 3.0, 4.0, 5.0)])
