@@ -69,7 +69,6 @@ from .io import (
     save_dist,
     write_samples,
 )
-from .special import regularized_upper_gamma
 
 __version__ = "0.1.0"
 
@@ -126,6 +125,5 @@ __all__ = [
     "read_samples",
     "save_dist",
     "write_samples",
-    "regularized_upper_gamma",
     "__version__",
 ]

@@ -13,8 +13,8 @@ Both components may be float64 arrays of one shape, so one ``DD`` carries a
 whole grid of values.  The primitives are written with plain ``+ - *``, which
 numpy evaluates elementwise in IEEE double precision without fusing, so every
 element of an array result is bit-identical to the scalar computation on that
-element; scalar and array operands mix freely.  Comparisons, ``hash`` and
-``float`` stay scalar-only.
+element; scalar and array operands mix freely.  Equality, hash and float
+stay scalar-only; there is no ordering.
 """
 
 from __future__ import annotations
@@ -144,45 +144,15 @@ class DD:
             k >>= 1
         return result
 
-    def __abs__(self):
-        if isinstance(self.hi, np.ndarray) or isinstance(self.lo, np.ndarray):
-            negative = (self.hi < 0.0) | ((self.hi == 0.0) & (self.lo < 0.0))
-            return DD(np.where(negative, -self.hi, self.hi), np.where(negative, -self.lo, self.lo))
-        return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
-
     def __float__(self):
         return self.hi + self.lo
 
-    def _cmp(self, other):
+    def __eq__(self, other):
         other = DD._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         d = self - other
-        if d.hi != 0.0:
-            return -1.0 if d.hi < 0.0 else 1.0
-        if d.lo != 0.0:
-            return -1.0 if d.lo < 0.0 else 1.0
-        return 0.0
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0.0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0.0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0.0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0.0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0.0
+        return bool(d.hi == 0.0 and d.lo == 0.0)
 
     def __hash__(self):
         return hash((self.hi, self.lo))

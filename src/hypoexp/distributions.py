@@ -465,7 +465,7 @@ def _eme_logpdf(n, rate, w, x, score=False):
     if ud.size:
         lxd = lx[direct]
         # Q(n, u) = pois(n-1, u) B, with B summed from its k = n-1 term
-        b = partial_exp_sum(n, ud)[1]
+        b = partial_exp_sum(n, ud)
         if w > 1.0:
             q = np.exp(log_poisson_weight(n - 1, ud)) * b  # in (0, 1/2] for u > n+1
             out[direct] = (

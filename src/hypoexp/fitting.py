@@ -61,8 +61,6 @@ def moment_start(values, n):
     for root in ((n + disc) / (ratio - 1), (-n + disc) / (1 - ratio)):
         if math.isfinite(root) and root > 0.0:
             starts.append((float((n + root) / mean), float(root)))
-    if not starts:
-        starts.append((float((n + 1) / mean), 1.5))
     return starts
 
 

@@ -2,9 +2,11 @@
 
 These deliberately avoid the package's own evaluation paths: densities are
 cross-checked against grid convolutions of the raw component exponentials,
-and series coefficients against exact-rational long division.
+series coefficients against exact-rational long division, and the
+incomplete-gamma form against an exact-rational partial sum.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -60,3 +62,20 @@ def reciprocal_series_by_long_division(moment_fractions, order):
             key = j + i
             remainder[key] = remainder.get(key, Fraction(0)) - coef * bi
     return quotient
+
+
+def exact_partial_sum(n, t):
+    """sum_{k<n} t^k/k! in exact rationals (t must be a float, hence exact)."""
+    acc = Fraction(0)
+    term = Fraction(1)
+    for k in range(n):
+        acc += term
+        term = term * Fraction(t) / (k + 1)
+    return acc
+
+
+def upper_gamma_q(n, t):
+    """Q(n, t) = exp(-t) sum_{k<n} t^k/k!, the integer-order regularized upper
+    incomplete gamma, for real t of either sign: the exact partial sum,
+    rounded once, times exp(-t)."""
+    return float(exact_partial_sum(n, t)) * math.exp(-t)

@@ -64,9 +64,17 @@ def test_cancellation_keeps_low_bits():
 
 
 def test_comparisons():
-    assert DD(1.0) + 1e-25 > DD(1.0)
     assert DD(2.0) == 2.0
-    assert abs(DD(-3.0)) == DD(3.0)
+    assert DD(1.0) + 1e-25 != DD(1.0)
+    # equality only: an ordering or abs() raises instead of comparing objects
+    for compare in (lambda a, b: a < b, lambda a, b: a <= b,
+                    lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(TypeError):
+            compare(DD(1.0) + 1e-25, DD(1.0))
+        with pytest.raises(TypeError):
+            compare(DD(1.0), 2.0)
+    with pytest.raises(TypeError):
+        abs(DD(-3.0))
 
 
 def _bits(x, size):
@@ -114,14 +122,7 @@ def test_array_operations_are_bit_identical_to_scalar(seed):
             assert isinstance(got, DD), name
             np.testing.assert_array_equal(_bits(got.hi, size), _bits([w.hi for w in want], size))
             np.testing.assert_array_equal(_bits(got.lo, size), _bits([w.lo for w in want], size))
-    for got, want in [(-xa, [-x for x in xs]), (abs(xa), [abs(x) for x in xs]),
-                      (xa**5, [x**5 for x in xs])]:
+    for got, want in [(-xa, [-x for x in xs]), (xa**5, [x**5 for x in xs])]:
         np.testing.assert_array_equal(_bits(got.hi, size), _bits([w.hi for w in want], size))
         np.testing.assert_array_equal(_bits(got.lo, size), _bits([w.lo for w in want], size))
 
-
-def test_array_abs_handles_zero_high_part():
-    x = DD(np.array([0.0, 0.0, -1.0, 2.0]), np.array([-1e-30, 1e-30, 1e-20, -1e-20]))
-    got = abs(x)
-    np.testing.assert_array_equal(got.hi, [0.0, 0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(got.lo, [1e-30, 1e-30, -1e-20, -1e-20])

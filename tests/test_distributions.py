@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import upper_gamma_q
 from scipy import integrate, stats
 
 from hypoexp import (
@@ -19,7 +20,6 @@ from hypoexp import (
     dist_to_dict,
     family_name,
     make_distribution,
-    regularized_upper_gamma,
 )
 from hypoexp.cli import main as cli_main
 from hypoexp.distributions import FAMILIES, FAMILY_ALIASES, _eme_logpdf, _exp_tail_series
@@ -288,7 +288,7 @@ class TestEME:
                     (rate / w)
                     * math.exp(-rate * x / w)
                     * (w / (w - 1.0)) ** n
-                    * (1.0 - regularized_upper_gamma(n, beta * x))
+                    * (1.0 - upper_gamma_q(n, beta * x))
                 )
                 assert d.pdf(x) == pytest.approx(closed, rel=1e-11)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypoexp import (
     EME,
@@ -64,6 +66,26 @@ class TestMomentStart:
         starts = moment_start(x, 2)
         assert len(starts) >= 1
         assert all(w > 0.0 and rate > 0.0 for rate, w in starts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=2, max_size=40),
+        scale=st.floats(min_value=-200.0, max_value=200.0).map(lambda e: 10.0**e),
+        n=st.integers(min_value=1, max_value=40),
+    )
+    def test_starts_reproduce_mean_and_clamped_ratio(self, base, scale, n):
+        # the clamp keeps ratio in [1.02, n + 0.98], so the root
+        # (n + disc)/(ratio - 1) is finite and positive: there is always a start
+        x = np.array(base) * scale
+        mean = x.mean()
+        cv2 = (x / mean).var()
+        assume(cv2 > 0.0)
+        ratio = min(max(1.0 / cv2, 1.02), n + 1 - 0.02)
+        starts = moment_start(x, n)
+        assert len(starts) >= 1
+        for rate, w in starts:
+            assert (n + w) / rate == pytest.approx(mean, rel=1e-12)
+            assert (n + w) ** 2 / (n + w * w) == pytest.approx(ratio, rel=1e-12)
 
 
 class TestRecovery:

@@ -1,6 +1,7 @@
 """Repository tools."""
 
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -124,3 +125,12 @@ def test_benchmark_reads_only_names_that_hypoexp_exports():
         names.update(re.findall(r"\bhx\.([A-Za-z_]\w*)", path.read_text()))
     assert names  # the workloads call the library as ``hx``
     assert sorted(n for n in names if not hasattr(hypoexp, n)) == []
+
+
+def test_all_lists_exactly_the_public_names():
+    # a stale __all__ entry, left by a removed export, makes
+    # ``from hypoexp import *`` raise; a missing one hides a public name
+    public = {name for name, value in vars(hypoexp).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(hypoexp.__all__) == sorted(public | {"__version__"})
+    exec("from hypoexp import *", {})

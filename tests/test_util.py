@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypoexp import EME, Erlang, Exponential, GofConfig, ParameterError, regularized_upper_gamma
+from hypoexp import EME, Erlang, Exponential, GofConfig, ParameterError
 from hypoexp._util import check_positive_int, check_positive_real, check_w
 from hypoexp.identities import binomial_sum_residual
 
@@ -24,7 +24,6 @@ def test_callers_keep_their_parameter_names():
     cases = [
         (lambda: Erlang(0, 1.0), "n must"),
         (lambda: EME(2, 1.0, 2.0).sample(0, np.random.default_rng(0)), "count must"),
-        (lambda: regularized_upper_gamma(0, 1.0), "order n must"),
         (lambda: GofConfig(n=0), "n must"),
         (lambda: GofConfig(grid_points=0), "grid_points must"),
         (lambda: binomial_sum_residual(3, 0, 2), "j must"),
