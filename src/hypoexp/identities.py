@@ -6,22 +6,27 @@ the integer zero and a "nonzero" claim is certified, not approximated.  The
 denominators of v = p/q (and of v - 1 = d/q, d = p - q) are cleared once, so
 each check compares Python integers; the termwise sums over k < n follow
 recurrences such as lhs_{n+1} = q lhs_n + c_n p^n, and one pass over
-n = 1..max_n yields the exact numerator at every n.  The public functions
-return the same ``Fraction`` values as a direct rational evaluation.
+n = 1..max_n yields the exact numerator at every n.  A sweep builds the
+tables of p^k, q^k and d^k once per rational and one Pascal table for all
+its binomial recurrences, and starts each recurrence at its first nonzero
+term.  The public functions return the same ``Fraction`` values as a direct
+rational evaluation.
 
 Transform-level identities are checked in compensated double-double floating
 point (:class:`DD`), whose ~32 digits keep the residuals meaningful even where
-the geometric terms reach 1e10.  A ``DD`` may hold float64 arrays, so a whole
-t-grid is evaluated at once, bit-identical to the scalar calls, and one
-power/geometric recurrence gives the residual at every n.
+the geometric terms reach 1e10.  A ``DD`` may hold float64 arrays, so a sweep
+evaluates one stacked (rate, w, t) grid at once, bit-identical to the scalar
+calls, and one power/geometric recurrence gives the residual at every n.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -76,36 +81,50 @@ def _numerator_denominator(v, exclude_zero):
 # exact combinatorial identities
 # ---------------------------------------------------------------------------
 
-def _binomial_sides(max_n, m, j, p, q):
-    """Both sides of the shifted binomial identity at v = p/q, each times q^n,
-    for n = 1..max_n in one pass:
+def _powers(x, count):
+    """[x^0, x^1, ..., x^count]."""
+    return list(accumulate(repeat(x, count), operator.mul, initial=1))
+
+
+def _pascal(rows, cols):
+    """Columns of Pascal's triangle: ``table[c][r]`` = C(r, c) for r < rows."""
+    return {c: [math.comb(r, c) for r in range(rows)] for c in cols}
+
+
+def _binomial_sides(max_n, m, j, pk, qk, pascal):
+    """Lists of both sides of the shifted binomial identity at v = p/q, each
+    times q^n, for n = max(1, j - m)..max_n in one pass:
 
         lhs_n = sum_{k<n} (C(k+m, j-1) p + C(k+m, j)(p-q)) p^k q^{n-1-k},
         rhs_n = C(n+m, j) p^n - C(m, j) q^n.
 
-    With c_k the bracketed coefficient, the termwise sum follows
-    lhs_{n+1} = q lhs_n + c_n p^n, so every n costs a few integer operations
-    instead of a fresh n-term sum.
+    ``pk`` and ``qk`` hold p^k and q^k for k <= max_n, and ``pascal`` holds
+    the columns j - 1 and j of ``_pascal(max_n + m + 1, ...)``.  With c_k the
+    bracketed coefficient, the termwise sum follows lhs_{n+1} = q lhs_n +
+    c_n p^n, so every n costs a few integer operations instead of a fresh
+    n-term sum.  The pass starts at the first nonzero term, k = j - 1 - m:
+    for n + m < j every binomial on both sides is 0, so both sides are 0.
     """
+    p, q = pk[1], qk[1]
     d = p - q
-    boundary = math.comb(m, j)
-    lhs, pn, qn = 0, 1, 1
-    c_j = boundary  # C(k+m, j)
-    sides = []
-    for k in range(max_n):
-        next_c_j = math.comb(k + 1 + m, j)
-        lhs = q * lhs + (math.comb(k + m, j - 1) * p + c_j * d) * pn
-        pn *= p
-        qn *= q
-        sides.append((lhs, next_c_j * pn - boundary * qn))
-        c_j = next_c_j
-    return sides
+    below, at = pascal[j - 1], pascal[j]
+    boundary = at[m]
+    lhs = 0
+    lhs_n, rhs_n = [], []
+    for k in range(max(j - 1 - m, 0), max_n):
+        lhs = q * lhs + (below[k + m] * p + at[k + m] * d) * pk[k]
+        lhs_n.append(lhs)
+        rhs_n.append(at[k + 1 + m] * pk[k + 1] - boundary * qk[k + 1])
+    return lhs_n, rhs_n
 
 
 def _binomial_residual(n, m, j, v):
     p, q = _numerator_denominator(v, exclude_zero=False)
-    lhs, rhs = _binomial_sides(n, m, j, p, q)[-1]
-    return Fraction(lhs - rhs, q**n)
+    if n + m < j:  # both sides are 0
+        return Fraction(0)
+    lhs, rhs = _binomial_sides(n, m, j, _powers(p, n), _powers(q, n),
+                               _pascal(n + m + 1, (j - 1, j)))
+    return Fraction(lhs[-1] - rhs[-1], q**n)
 
 
 def binomial_sum_residual(n, j, v):
@@ -152,21 +171,21 @@ def _geometric_sums(max_n, p, q):
     return sums
 
 
-def _gap_numerator(n, j, p, q, g, w):
-    """d^{j-1} q^n times the gap at v = p/q, d = p - q, from the termwise
-    sums g = G_n and w = W_n: p^j G_n + d^{j-1}(d W_n - n p^n)."""
-    d = p - q
-    return p**j * g + d ** (j - 1) * (d * w - n * p**n)
+def _gap_numerator(n, d, pj, dj1, pn, g, w):
+    """d^{j-1} q^n times the gap at v = p/q, d = p - q, from the powers
+    pj = p^j, dj1 = d^{j-1}, pn = p^n and the termwise sums g = G_n and
+    w = W_n: p^j G_n + d^{j-1}(d W_n - n p^n)."""
+    return pj * g + dj1 * (d * w - n * pn)
 
 
-def _closed_form_numerator(n, j, p, q):
+def _closed_form_numerator(p, pj, dj1, pn, qn):
     """d^j q^n times the gap's closed form: (p^j - p d^{j-1})(p^n - q^n)."""
-    d = p - q
-    return (p**j - p * d ** (j - 1)) * (p**n - q**n)
+    return (pj - p * dj1) * (pn - qn)
 
 
-def _gap_vanishes(n, j, p, q):
-    return p**n == q**n or p ** (j - 1) == (p - q) ** (j - 1)
+def _gap_vanishes(pn, qn, pj1, dj1):
+    """p^n = q^n or p^{j-1} = d^{j-1}: the gap's closed form is 0."""
+    return pn == qn or pj1 == dj1
 
 
 def _check_gap_args(n, j, v):
@@ -188,14 +207,16 @@ def geometric_weight_gap(n, j, v):
     :func:`gap_vanishes`.
     """
     n, j, (p, q) = _check_gap_args(n, j, v)
-    gap = _gap_numerator(n, j, p, q, *_geometric_sums(n, p, q)[-1])
-    return Fraction(gap, (p - q) ** (j - 1) * q**n)
+    d = p - q
+    gap = _gap_numerator(n, d, p**j, d ** (j - 1), p**n, *_geometric_sums(n, p, q)[-1])
+    return Fraction(gap, d ** (j - 1) * q**n)
 
 
 def geometric_weight_gap_closed_form(n, j, v):
     """[(v/(v-1))^j - v/(v-1)] (v^n - 1), the resolved form of the gap."""
     n, j, (p, q) = _check_gap_args(n, j, v)
-    return Fraction(_closed_form_numerator(n, j, p, q), (p - q) ** j * q**n)
+    d = p - q
+    return Fraction(_closed_form_numerator(p, p**j, d ** (j - 1), p**n, q**n), d**j * q**n)
 
 
 def gap_vanishes(n, j, v):
@@ -209,7 +230,7 @@ def gap_vanishes(n, j, v):
     n = check_positive_int(n, "n")
     j = check_positive_int(j, "j")
     p, q = _numerator_denominator(v, exclude_zero=True)
-    return _gap_vanishes(n, j, p, q)
+    return _gap_vanishes(p**n, q**n, p ** (j - 1), (p - q) ** (j - 1))
 
 
 @dataclass(frozen=True)
@@ -514,12 +535,14 @@ def run_identity_checks(
     ``grid_points``-point t-grids.
 
     Every check is counted and decided on its own, but the work is shared:
-    each exact family clears denominators once per v = p/q and walks
-    n = 1..max_n in one integer recurrence, and each float family evaluates
-    a whole t-grid at once as array double-doubles, with one power/geometric
-    recurrence giving every n.  A sweep that would check nothing (a size
-    below its minimum, or an empty list of w or rates) raises
-    ParameterError.
+    each exact family clears denominators once per v = p/q, reads its powers
+    from tables built once per v and its binomials from one Pascal table,
+    and walks n in one integer recurrence from the first n where the
+    identity's sides are not both 0; each transform family evaluates every
+    (rate, w, t) point at once as array double-doubles, with one
+    power/geometric recurrence giving every n.  A sweep that would check
+    nothing (a size below its minimum, or an empty list of w or rates)
+    raises ParameterError.
     """
     exact_max_n = check_positive_int(exact_max_n, "exact_max_n")
     shift_max_m = _check_nonnegative_int(shift_max_m, "shift_max_m")
@@ -536,30 +559,35 @@ def run_identity_checks(
 
     rng = np.random.default_rng(seed)
     pqs = [(v.numerator, v.denominator) for v in random_rationals(n_rationals, rng)]
+    # p^k, q^k and d^k (d = p - q) per rational, and one Pascal table for
+    # every binomial recurrence of the sweep
+    tables = [[_powers(x, exact_max_n) for x in (p, q, p - q)] for p, q in pqs]
+    size = max(exact_max_n + shift_max_m, bracket_max_n + 5) + 1
+    pascal = _pascal(size, range(size))
     families = []
 
     def binomial_family(shifts):
         checks = failures = 0
-        for p, q in pqs:
+        for pk, qk, _ in tables:
             for m in shifts:
                 for j in range(1, exact_max_n + m + 1):
-                    for n, (lhs, rhs) in enumerate(_binomial_sides(exact_max_n, m, j, p, q), 1):
-                        if n + m >= j:
-                            checks += 1
-                            if lhs - rhs != 0:
-                                failures += 1
+                    lhs, rhs = _binomial_sides(exact_max_n, m, j, pk, qk, pascal)
+                    checks += len(lhs)
+                    failures += sum(map(operator.ne, lhs, rhs))
         return checks, failures, 0.0
 
     def gap_family():
         checks = failures = 0
-        for p, q in pqs:
+        for (p, q), (pk, qk, dk) in zip(pqs, tables):
+            d = p - q
             for n, (g, w) in enumerate(_geometric_sums(exact_max_n, p, q), 1):
+                pn, qn = pk[n], qk[n]
                 for j in range(2, n + 1):
                     checks += 1
-                    gap = _gap_numerator(n, j, p, q, g, w)
-                    if (p - q) * gap != _closed_form_numerator(n, j, p, q):
+                    gap = _gap_numerator(n, d, pk[j], dk[j - 1], pn, g, w)
+                    if d * gap != _closed_form_numerator(p, pk[j], dk[j - 1], pn, qn):
                         failures += 1
-                    elif _gap_vanishes(n, j, p, q):
+                    elif _gap_vanishes(pn, qn, pk[j - 1], dk[j - 1]):
                         if gap != 0:
                             failures += 1
                     elif gap == 0:
@@ -571,16 +599,18 @@ def run_identity_checks(
         for w in (Fraction(1, 5), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5)):
             v = w / (w - 1)
             p, q = v.numerator, v.denominator
+            d = p - q
+            pk, qk, dk = (_powers(x, bracket_max_n + 5) for x in (p, q, d))
             sums = _geometric_sums(bracket_max_n, p, q)
             for j in range(2, bracket_max_n + 6):
-                sides = _binomial_sides(bracket_max_n, 0, j, p, q)
+                lhs, rhs = _binomial_sides(bracket_max_n, 0, j, pk, qk, pascal)  # n >= j
                 for n in range(max(2, j - 5), bracket_max_n + 1):
                     checks += 1
-                    lhs, rhs = sides[n - 1]
-                    if lhs - rhs != 0:  # the a_1^j bracket
+                    # the a_1^j bracket; for n < j both of its sides are 0
+                    if n >= j and lhs[n - j] != rhs[n - j]:
                         failures += 1
-                    elif (not _gap_vanishes(n, j, p, q)
-                          and _gap_numerator(n, j, p, q, *sums[n - 1]) == 0):
+                    elif (not _gap_vanishes(pk[n], qk[n], pk[j - 1], dk[j - 1])
+                          and _gap_numerator(n, d, pk[j], dk[j - 1], pk[n], *sums[n - 1]) == 0):
                         failures += 1
         return checks, failures, 0.0
 
@@ -590,16 +620,18 @@ def run_identity_checks(
         for residuals in residual_arrays:
             checks += residuals.size
             failures += int(np.count_nonzero(~(residuals <= tol)))  # NaN fails
-            worst = max(worst, float(residuals.max()))
+            # the worst of each t-grid's maxima; a grid with a NaN has a NaN
+            # maximum, which max() passes over
+            worst = max(worst, *residuals.max(axis=-1).ravel().tolist())
         return checks, failures, worst
 
+    # one stacked (rate, w, t) grid: axis 0 the rates, axis 1 the w, axis 2 t
+    rate_axis = np.array(rates)[:, None, None]
+    w_axis = np.array(ws)[None, :, None]
+    t_grids = np.stack([np.linspace(0.0, 10.0 * rate, grid_points) for rate in rates])[:, None]
+
     def lt_identity_family():
-        return float_family(
-            (r for rate in rates for w in ws
-             for r in _lt_identity_residuals(float_max_n, w, rate,
-                                             np.linspace(0.0, 10.0 * rate, grid_points))),
-            1e-12,
-        )
+        return float_family(_lt_identity_residuals(float_max_n, w_axis, rate_axis, t_grids), 1e-12)
 
     def partial_fraction_family():
         grid = np.linspace(0.0, 10.0, grid_points)
@@ -607,10 +639,8 @@ def run_identity_checks(
 
     def functional_equation_family():
         return float_family(
-            (r for rate in rates for w in ws
-             for r in _functional_equation_residuals(
-                 float_max_n, w, _reciprocal_exp_transform(rate),
-                 DD(np.linspace(0.0, 10.0 * rate, grid_points)))),
+            _functional_equation_residuals(float_max_n, w_axis,
+                                           _reciprocal_exp_transform(rate_axis), DD(t_grids)),
             1e-10,
         )
 

@@ -314,15 +314,21 @@ class TestOnePassKernels:
         for _ in range(6):
             v, p, q = _random_pq(rng, 10**4)
             for m in (0, 1, 4):
-                for j in (1, 2, 5, 9):
-                    sides = identities._binomial_sides(12, m, j, p, q)
-                    assert len(sides) == 12
-                    for n, (lhs, rhs) in enumerate(sides, 1):
+                for j in (1, 2, 5, 9, 14):
+                    lhs, rhs = identities._binomial_sides(
+                        12, m, j, identities._powers(p, 12), identities._powers(q, 12),
+                        identities._pascal(13 + m, (j - 1, j)))
+                    first = max(1, j - m)
+                    assert len(lhs) == len(rhs) == max(0, 13 - first)
+                    for n in range(1, 13):
                         lhs_n = (v * sum(math.comb(k + m, j - 1) * v**k for k in range(n))
                                  + (v - 1) * sum(math.comb(k + m, j) * v**k for k in range(n)))
                         rhs_n = math.comb(n + m, j) * v**n - math.comb(m, j)
-                        assert lhs == lhs_n * q**n
-                        assert rhs == rhs_n * q**n
+                        if n < first:  # the pass starts at its first nonzero term
+                            assert lhs_n == rhs_n == 0
+                            continue
+                        assert lhs[n - first] == lhs_n * q**n
+                        assert rhs[n - first] == rhs_n * q**n
 
     def test_geometric_sums_match_single_n_sums(self):
         rng = np.random.default_rng(12)
@@ -340,13 +346,15 @@ class TestOnePassKernels:
             sums = identities._geometric_sums(10, p, q)
             for n in range(1, 11):
                 for j in range(2, 12):
-                    gap = identities._gap_numerator(n, j, p, q, *sums[n - 1])
-                    closed = identities._closed_form_numerator(n, j, p, q)
+                    gap = identities._gap_numerator(n, d, p**j, d ** (j - 1), p**n, *sums[n - 1])
+                    closed = identities._closed_form_numerator(p, p**j, d ** (j - 1), p**n, q**n)
                     assert gap == _gap_by_fractions(n, j, v) * d ** (j - 1) * q**n
                     s = v / (v - 1)
                     assert closed == (s**j - s) * (v**n - 1) * d**j * q**n
                     assert geometric_weight_gap(n, j, v) == _gap_by_fractions(n, j, v)
                     assert gap_vanishes(n, j, v) == (v**n == 1 or s ** (j - 1) == 1)
+                    assert identities._gap_vanishes(p**n, q**n, p ** (j - 1), d ** (j - 1)) \
+                        == gap_vanishes(n, j, v)
 
     def test_float_kernels_match_single_n_evaluation(self):
         # the original algorithm: a fresh scalar recurrence for each n
@@ -372,8 +380,9 @@ class TestOnePassKernels:
             return abs(float(one - vp * v * psip * psi_t + (v - one) * psi_wt * acc))
 
         grid = np.linspace(0.0, 20.0, 13)
-        for w in (0.1, 1.5, 10.0):
-            for rate in (1.0, 2.0):
+        ws, rates = (0.1, 1.5, 10.0), (1.0, 2.0)
+        for w in ws:
+            for rate in rates:
                 lt = identities._lt_identity_residuals(10, w, rate, grid)
                 fe = identities._functional_equation_residuals(
                     10, w, identities._reciprocal_exp_transform(rate), DD(grid))
@@ -382,6 +391,24 @@ class TestOnePassKernels:
                     want_fe = [fe_single(n, w, rate, float(t)) for t in grid]
                     np.testing.assert_array_equal(_bits(lt[n - 1]), _bits(want_lt))
                     np.testing.assert_array_equal(_bits(fe[n - 1]), _bits(want_fe))
+
+        # the sweep's one call over a stacked (rate, w, t) grid, with each
+        # rate's own t-grid, equals the per-pair calls bit for bit
+        rate_axis = np.array(rates)[:, None, None]
+        w_axis = np.array(ws)[None, :, None]
+        t_grids = np.stack([grid * rate for rate in rates])[:, None]
+        lt = identities._lt_identity_residuals(10, w_axis, rate_axis, t_grids)
+        fe = identities._functional_equation_residuals(
+            10, w_axis, identities._reciprocal_exp_transform(rate_axis), DD(t_grids))
+        for a, rate in enumerate(rates):
+            for b, w in enumerate(ws):
+                want_lt = identities._lt_identity_residuals(10, w, rate, t_grids[a, 0])
+                want_fe = identities._functional_equation_residuals(
+                    10, w, identities._reciprocal_exp_transform(rate), DD(t_grids[a, 0]))
+                for n in range(10):
+                    assert lt[n].shape == fe[n].shape == (2, 3, 13)
+                    np.testing.assert_array_equal(_bits(lt[n][a, b]), _bits(want_lt[n]))
+                    np.testing.assert_array_equal(_bits(fe[n][a, b]), _bits(want_fe[n]))
 
 
 class TestArrayResiduals:
@@ -449,9 +476,10 @@ class TestSweepSensitivity:
     def test_dropped_boundary_term_fails_shifted_family(self, monkeypatch):
         original = identities._binomial_sides
 
-        def without_boundary(max_n, m, j, p, q):
-            return [(lhs, rhs + math.comb(m, j) * q**n)
-                    for n, (lhs, rhs) in enumerate(original(max_n, m, j, p, q), 1)]
+        def without_boundary(max_n, m, j, pk, qk, pascal):
+            lhs, rhs = original(max_n, m, j, pk, qk, pascal)
+            return lhs, [r + math.comb(m, j) * qk[n]
+                         for n, r in enumerate(rhs, max(1, j - m))]
 
         monkeypatch.setattr(identities, "_binomial_sides", without_boundary)
         failures = _failures(run_identity_checks(**_SMALL))
@@ -459,6 +487,36 @@ class TestSweepSensitivity:
         # C(0, j) = 0 for j >= 1: the unshifted families never see the term
         assert failures["binomial weighted sum"] == 0
         assert failures["series coefficient brackets"] == 0
+
+    def test_corrupted_first_step_is_counted(self, monkeypatch):
+        # one wrong left side at n = j - m, the first n the (m, j) pass
+        # computes, is one failure: the pass and the counted n line up
+        original = identities._binomial_sides
+
+        def corrupted(max_n, m, j, pk, qk, pascal):
+            lhs, rhs = original(max_n, m, j, pk, qk, pascal)
+            if (m, j) == (2, 5):
+                lhs[0] += 1
+            return lhs, rhs
+
+        monkeypatch.setattr(identities, "_binomial_sides", corrupted)
+        failures = _failures(run_identity_checks(**_SMALL))
+        assert failures["shifted binomial weighted sum"] == _SMALL["n_rationals"]
+        assert failures["binomial weighted sum"] == 0
+
+    def test_corrupted_pascal_entry_fails_shifted_family(self, monkeypatch):
+        original = identities._pascal
+
+        def corrupted(rows, cols):
+            table = original(rows, cols)
+            if 3 in table and rows > 5:
+                table[3][5] += 1  # C(5, 3) = 10 becomes 11
+            return table
+
+        monkeypatch.setattr(identities, "_pascal", corrupted)
+        failures = _failures(run_identity_checks(**_SMALL))
+        assert failures["shifted binomial weighted sum"] > 0
+        assert failures["geometric weight gap vs closed form"] == 0
 
     def test_perturbed_weighted_sum_fails_gap_family(self, monkeypatch):
         original = identities._geometric_sums
@@ -489,6 +547,29 @@ class TestSweepSensitivity:
         assert failures["scaled-transform product identity"] > 0
         assert failures["functional equation (reciprocal exp)"] > 0
         assert failures["partial fraction split"] == 0
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_worst_residual_passes_over_grids_with_a_nan(self):
+        # at n near 400 the w = 0.2 grids overflow to NaN while the others
+        # stay finite: the worst residual is the largest maximum of the
+        # grids without a NaN, as when each (rate, w) pair was its own call
+        sweep = {**_SMALL, "float_max_n": 400, "float_ws": (0.2, 5.0, 50.0), "grid_points": 6}
+        report = run_identity_checks(**sweep)
+        worst = [f.worst_residual for f in report.families
+                 if f.name.startswith("functional equation")][0]
+        want, nan_grids = 0.0, 0
+        for rate in (1.0, 2.0):
+            grid = DD(np.linspace(0.0, 10.0 * rate, 6))
+            for w in sweep["float_ws"]:
+                psi = identities._reciprocal_exp_transform(rate)
+                for r in identities._functional_equation_residuals(400, w, psi, grid):
+                    if np.isnan(r).any():
+                        nan_grids += 1
+                    else:
+                        want = max(want, float(r.max()))
+        assert nan_grids > 0
+        assert worst == want
 
 
 class TestSweepValidation:

@@ -6,6 +6,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import hypoexp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,10 +45,11 @@ class A:
     assert _load("src_lines").code_lines(text) == 7
 
 
-def _run_output(workload, seed, metrics, trace=0, failed=0, commit="base"):
+def _run_output(workload, seed, metrics, trace=0, failed=0, commit="base", report_metrics=None):
     """Canned standard output of one perfbench/run.py run."""
     env = {"git_commit": commit, "nproc": 2}
-    report = {"workload": workload, "seed": seed, "trace": trace, "ops": 100, "metrics": {}}
+    report = {"workload": workload, "seed": seed, "trace": trace, "ops": 100,
+              "metrics": report_metrics or {}}
     result = {"correct": failed == 0, "attempted": 100, "failed": failed,
               "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
     return "\n".join(["env " + json.dumps(env), "report " + json.dumps(report),
@@ -80,6 +83,34 @@ def test_bench_pairs_summarizes_paired_runs_per_workload_and_side():
     assert p90["change_better_in"] == 2 and p90["better"] == "lower"
     # higher is better: 9 < 10 loses, 13 > 12 and 14 > 11 win
     assert out["workloads"]["gof"]["metrics"]["ops_per_s"]["change_better_in"] == 2
+
+
+def test_bench_pairs_summarizes_the_report_phases():
+    def report(verify_s, fit_s, setup_s=0.2):
+        return {"verify_s": {"value": verify_s, "unit": "s"},
+                "fit_fixed_s": {"value": fit_s, "unit": "s"},
+                "setup_s": {"value": setup_s, "unit": "s"},
+                "op_p50_ms": {"value": 900.0, "unit": "ms"}}
+
+    spec = [*_SPEC, {"name": "setup_s", "unit": "s", "better": "lower"}]
+    metrics = {"op_p90_ms": 1000.0, "ops_per_s": 1.0, "setup_s": 0.2}
+    base = [_run_output("pipe", s, metrics, report_metrics=report(v, f))
+            for s, v, f in [(1, 0.20, 0.30), (2, 0.22, 0.31), (3, 0.18, 0.29)]]
+    change = [_run_output("pipe", s, metrics, commit="change", report_metrics=report(v, f))
+              for s, v, f in [(1, 0.10, 0.31), (2, 0.12, 0.30), (3, 0.19, 0.30)]]
+    phases = _load("bench_pairs").summarize(base, change, spec)["workloads"]["pipe"]["phases"]
+    # times in seconds only, and not the end-to-end setup_s
+    assert sorted(phases) == ["fit_fixed_s", "verify_s"]
+    verify = phases["verify_s"]
+    assert verify["base"] == pytest.approx({"median": 0.20, "q1": 0.19, "q3": 0.21})
+    assert verify["change"]["median"] == 0.12
+    assert verify["change_better_in"] == 2 and verify["better"] == "lower"
+    assert phases["fit_fixed_s"]["change_better_in"] == 1
+    # a phase that one paired run lacks is left out
+    change[0] = _run_output("pipe", 1, metrics, commit="change",
+                            report_metrics={"fit_fixed_s": {"value": 0.3, "unit": "s"}})
+    phases = _load("bench_pairs").summarize(base, change, spec)["workloads"]["pipe"]["phases"]
+    assert sorted(phases) == ["fit_fixed_s"]
 
 
 def test_bench_pairs_writes_the_summary_file(tmp_path):
