@@ -27,7 +27,7 @@ from .errors import HypoexpError
 from .fitting import fit_eme
 from .gof import METHOD_NOTE, GofConfig, gof_residual_curve, gof_test
 from .identities import run_identity_checks
-from .io import read_samples, write_samples
+from .io import open_output, read_samples, write_samples
 
 
 class _UsageError(Exception):
@@ -118,11 +118,11 @@ def _cmd_sample(args):
 def _cmd_fit(args):
     if args.infile is None:
         raise _UsageError("--in is required")
-    batch = read_samples(args.infile, column=args.column)
     if args.n is not None and args.search is not None:
         raise _UsageError("--n and --search are mutually exclusive")
     if args.search is not None and args.search < 1:
         raise _UsageError(f"--search must be at least 1, got {args.search}")
+    batch = read_samples(args.infile, column=args.column)
     if args.n is not None:
         dist, ll = fit_eme(batch, n=args.n)
     else:
@@ -162,9 +162,8 @@ def _cmd_gof(args):
     runtime = time.perf_counter() - start
     if args.residual_table:
         t_grid, resid = gof_residual_curve(batch, cfg)
-        Path(args.residual_table).write_text(
-            "".join(f"{t:.17g} {d:.17g}\n" for t, d in zip(t_grid, resid))
-        )
+        with open_output(args.residual_table) as out:
+            out.write("".join(f"{t:.17g} {d:.17g}\n" for t, d in zip(t_grid, resid)))
     record = {
         "type": "gof",
         "statistic": result.statistic,
@@ -319,10 +318,15 @@ def build_parser():
 def _apply_config(argv):
     """Expand --config into synthetic flags placed before the explicit ones.
 
-    Each ``key = value`` line becomes ``--key value`` right after the
-    subcommand, so argparse applies its own type conversion and any explicit
-    flag, coming later, wins.
+    The path follows as ``--config FILE`` or ``--config=FILE``; a second
+    --config is a usage error.  Each ``key = value`` line becomes
+    ``--key value`` right after the subcommand, so argparse applies its own
+    type conversion and any explicit flag, coming later, wins.
     """
+    argv = [tok for arg in argv
+            for tok in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
+    if argv.count("--config") > 1:
+        raise _UsageError("--config may be given only once")
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +43,6 @@ _WINDOW = 32.0
 
 # Bytes of standard exponential draws that ``StageSum.sample`` holds at once.
 _DRAW_BYTES = 1 << 17
-
-# Bytes of ``_Uniformization`` tables kept for reuse by equal rate vectors.
-_CACHE_BYTES = 32 << 20
 
 
 def _pointwise(method):
@@ -179,8 +174,8 @@ class Hypoexponential(StageSum):
 
     It is also the absorption time of the chain that leaves stage i at rate
     ``rates[i]``: ``chains.StageChain`` is this class.  ``pdf`` and ``cdf``
-    come from ``_Uniformization``, built on the first evaluation of a rate
-    vector and cached by ``_uniformization``.
+    come from ``_Uniformization``, built on the law's first evaluation and
+    kept on the law, so its memory goes with the law.
     """
 
     rates: tuple
@@ -192,37 +187,17 @@ class Hypoexponential(StageSum):
     def stages(self):
         return np.asarray(self.rates), np.ones(len(self.rates), dtype=int)
 
+    @functools.cached_property
+    def _setup(self):
+        return _Uniformization(self.rates)
+
     @_pointwise
     def pdf(self, x):
-        return self.rates[-1] * _uniformization(self.rates)(x, -2)
+        return self.rates[-1] * self._setup(x, -2)
 
     @_pointwise
     def cdf(self, x):
-        return np.minimum(_uniformization(self.rates)(x, -1), 1.0)
-
-
-_setups = OrderedDict()  # rate vector -> _Uniformization, least recently used first
-_setups_lock = threading.Lock()
-_cached_bytes = 0  # the sum of the cached set-ups' nbytes
-
-
-def _uniformization(rates):
-    """The ``_Uniformization`` of a rate vector, one set-up shared by equal
-    laws.  Set-ups are kept while their tables fit in ``_CACHE_BYTES``, the
-    least recently used dropped first; a larger one is built per call."""
-    global _cached_bytes
-    with _setups_lock:
-        if rates in _setups:
-            _setups.move_to_end(rates)
-            return _setups[rates]
-    setup = _Uniformization(rates)  # outside the lock: a large set-up takes a while
-    with _setups_lock:
-        if rates not in _setups and setup.nbytes <= _CACHE_BYTES:
-            _setups[rates] = setup
-            _cached_bytes += setup.nbytes
-            while _cached_bytes > _CACHE_BYTES:
-                _cached_bytes -= _setups.popitem(last=False)[1].nbytes
-    return setup
+        return np.minimum(self._setup(x, -1), 1.0)
 
 
 class _Uniformization:
@@ -282,8 +257,6 @@ class _Uniformization:
         if not enough[-1] or self.powers[-1][0, :-1].any():
             raise ConvergenceError(f"rates {rates} are beyond the range of uniformization")
         self.powers[-1][0, -1] = 1.0  # e_0 M^cap: the transient mass has underflowed
-        # bytes held: ``coef`` is a view that keeps all of ``terms``
-        self.nbytes = terms.nbytes + self.start.nbytes + sum(m.nbytes for m in self.powers)
 
     def __call__(self, x, col):
         """sum_k pois(k; Lambda x) (e_0 P^k)[col] at the points x."""

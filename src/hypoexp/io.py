@@ -8,6 +8,7 @@ family's parameters, e.g. ``{"family": "eme", "n": 2, "lambda": 1.0, "w": 3.0}``
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from io import StringIO
@@ -73,6 +74,17 @@ def _parse_value(token, path):
         raise DataError(f"{path}: not a decimal value: {token!r}") from exc
 
 
+@contextlib.contextmanager
+def open_output(path):
+    """``path`` opened for writing text; an OSError in opening or writing it
+    becomes DataError, as ``read_samples`` does for reading."""
+    try:
+        with open(path, "w") as out:
+            yield out
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def write_samples(path, data):
     """Write a batch as plain text, one value per line (round-trip exact).
 
@@ -80,7 +92,7 @@ def write_samples(path, data):
     values.  They are formatted ``_WRITE_BLOCK`` at a time, so the text of a
     large batch is never held whole."""
     values = as_values(data, what="sample values")
-    with open(path, "w") as out:
+    with open_output(path) as out:
         for start in range(0, values.size, _WRITE_BLOCK):
             block = values[start : start + _WRITE_BLOCK].tolist()
             out.write("".join(f"{v:.17g}\n" for v in block))
@@ -111,7 +123,8 @@ def dist_from_dict(record):
 
 
 def save_dist(path, dist):
-    Path(path).write_text(json.dumps(dist_to_dict(dist), indent=2) + "\n")
+    with open_output(path) as out:
+        out.write(json.dumps(dist_to_dict(dist), indent=2) + "\n")
 
 
 def load_dist(path):

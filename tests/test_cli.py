@@ -152,6 +152,22 @@ class TestSampleAndFit:
         assert code == 2
         assert "--n" in err and "--search" in err
 
+    @pytest.mark.parametrize("flags", [["--n", "2", "--search", "3"], ["--search", "0"]])
+    def test_fit_flags_are_checked_before_the_file_is_read(self, capsys, tmp_path, flags):
+        code, out, err = run_cli(capsys, "fit", "--in", str(tmp_path / "missing.txt"), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and "--search" in err
+
+    def test_sample_to_a_missing_directory_is_data_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing_dir" / "x.txt"
+        code, out, err = run_cli(capsys, "sample", "--dist", "exp", "--lambda", "1",
+                                 "--count", "3", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestGof:
     def _write_exp_sample(self, tmp_path, n=200, seed=17):
@@ -197,6 +213,16 @@ class TestGof:
         rows = table.read_text().strip().splitlines()
         assert len(rows) == 64
         assert all(len(r.split()) == 2 for r in rows)
+
+    def test_residual_table_in_a_missing_directory_is_data_error(self, capsys, tmp_path):
+        path = self._write_exp_sample(tmp_path, n=50)
+        table = tmp_path / "missing_dir" / "t.txt"
+        code, out, err = run_cli(capsys, "gof", "--in", str(path), "--B", "99",
+                                 "--residual-table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {table}: ")
+        assert len(err.splitlines()) == 1
 
     def test_invalid_b_is_domain_error(self, capsys, tmp_path):
         path = self._write_exp_sample(tmp_path, n=50)
@@ -298,6 +324,33 @@ class TestConfigFile:
                                 "--config", str(cfg))
         assert code == 0
         assert len(out2.strip().splitlines()) == 4  # config beats parser default
+
+    def test_config_with_equals_sign(self, capsys, tmp_path):
+        # --config=FILE was ignored: verify ran its full default sweep
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("max_n = 3\nsweep = quick\n")
+        code, joined, _ = run_cli(capsys, "verify", f"--config={cfg}", "--format", "structured")
+        assert code == 0
+        code, spaced, _ = run_cli(capsys, "verify", "--config", str(cfg), "--format", "structured")
+        assert code == 0
+        assert joined == spaced
+        assert json.loads(joined.splitlines()[-1])["checks"] == 4017
+        cfg.write_text("count = 4\n")
+        code, out, _ = run_cli(capsys, "sample", "--dist", "exp", "--lambda", "1",
+                               f"--config={cfg}")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("second", [["--config", "b.cfg"], ["--config=b.cfg"]])
+    def test_second_config_is_usage_error(self, capsys, tmp_path, second):
+        # the second one was dropped
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("count = 4\n")
+        code, out, err = run_cli(capsys, "sample", "--dist", "exp", "--lambda", "1",
+                                 "--config", str(cfg), *second)
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --config may be given only once\n"
 
     def test_non_utf8_config_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """Golden structured records of ``eval``, ``sample``, ``simulate``, ``fit``
-and ``gof``, and the ``error:`` lines of ``fit`` and ``gof`` on bad files.
+and ``gof``, and the ``error:`` lines of ``fit``, ``gof`` and ``sample`` on
+bad input files and unwritable output paths.
 
 ``golden/cli_cases.json`` lists each case's arguments, in which ``$GOLDEN``
 stands for the golden directory that holds the small input files;

@@ -103,6 +103,35 @@ class TestSampleFiles:
             assert path.read_bytes() == "".join(f"{v:.17g}\n" for v in values[:count]).encode()
             assert read_samples(path).tobytes() == values[:count].tobytes()
 
+    @pytest.mark.parametrize("write", [
+        lambda path: write_samples(path, [1.0, 2.0]),
+        lambda path: save_dist(path, Exponential(1.0)),
+    ], ids=["write_samples", "save_dist"])
+    def test_unwritable_path_is_data_error(self, tmp_path, write):
+        # a missing directory and a directory in place of the file both
+        # raised the bare OSError
+        for path in (tmp_path / "missing_dir" / "out.txt", tmp_path):
+            with pytest.raises(DataError, match=f"^cannot write {path}: "):
+                write(path)
+
+    def test_an_error_while_writing_is_data_error(self, tmp_path, monkeypatch):
+        class Full:
+            def __init__(self, path, mode):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(io, "open", Full, raising=False)
+        with pytest.raises(DataError, match="^cannot write .*No space left on device"):
+            write_samples(tmp_path / "values.txt", [1.0])
+
     @pytest.mark.parametrize("column", [None, "x"])
     def test_read_returns_a_float64_array(self, tmp_path, column):
         path = tmp_path / "values.txt"

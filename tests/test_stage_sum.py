@@ -5,7 +5,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -184,21 +183,40 @@ def test_absorption_draws_run_in_bounded_memory():
 
 
 @pytest.fixture
-def empty_setup_cache(monkeypatch):
-    monkeypatch.setattr(distributions, "_setups", OrderedDict())
-    monkeypatch.setattr(distributions, "_cached_bytes", 0)
+def setup_builds(monkeypatch):
+    """Rate vectors of the ``_Uniformization`` set-ups built, in order."""
+    built = []
+
+    class Counted(distributions._Uniformization):
+        def __init__(self, rates):
+            built.append(rates)
+            super().__init__(rates)
+
+    monkeypatch.setattr(distributions, "_Uniformization", Counted)
+    return built
 
 
-def _cached_setups():
-    setups = distributions._setups
-    assert distributions._cached_bytes == sum(s.nbytes for s in setups.values())
-    return setups
+def test_a_law_builds_its_setup_once(setup_builds):
+    law = Hypoexponential((1.0, 2.0, 3.0))
+    assert setup_builds == []  # nothing is built before the first evaluation
+    x = np.array([0.3, 2.0])
+    law.cdf(1.0), law.pdf(x), law.cdf(x), law.pdf(1.0)
+    assert setup_builds == [law.rates]
+    # an equal law owns its set-up: it builds one on its own first evaluation
+    other = StageChain((1.0, 2.0, 3.0))
+    np.testing.assert_array_equal(other.cdf(x), law.cdf(x))
+    assert setup_builds == [law.rates, law.rates]
+
+
+def test_sampling_builds_no_setup(setup_builds):
+    Hypoexponential((1.0, 2.0, 3.0)).sample(10, np.random.default_rng(2))
+    assert setup_builds == []
 
 
 @pytest.mark.slow
-def test_cached_setups_stay_within_the_byte_budget(empty_setup_cache):
-    # 40 set-ups of 200 stages hold about 3.6 MB each; a cache bounded by
-    # its entry count kept 32 of them
+def test_dropped_laws_release_their_setups():
+    # 40 set-ups of 200 stages hold about 3.6 MB each while their law lives;
+    # a cache bounded by its entry count kept 32 of them
     x = np.array([0.5, 150.0])
     tracemalloc.start()
     try:
@@ -207,62 +225,23 @@ def test_cached_setups_stay_within_the_byte_budget(empty_setup_cache):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    setups = _cached_setups()
-    assert sum(s.nbytes for s in setups.values()) <= distributions._CACHE_BYTES
-    assert held <= distributions._CACHE_BYTES + 2**20
-    assert len(setups) >= 2
-    assert list(setups)[-1] == tuple(1.0 + 0.01 * (39 + k) for k in range(200))
+    assert held <= 2**20
 
 
-def test_equal_laws_share_one_setup(empty_setup_cache):
-    a, b = Hypoexponential((1.0, 2.0, 3.0)), StageChain((1.0, 2.0, 3.0))
-    a.cdf(1.0)
-    first = distributions._uniformization(a.rates)
-    b.pdf(1.0)
-    assert distributions._uniformization(b.rates) is first
-    assert list(_cached_setups()) == [(1.0, 2.0, 3.0)]
+def test_one_law_under_threads():
+    # more threads than cores evaluate one fresh law at once; the build
+    # count is not checked, since Python 3.12 dropped cached_property's lock
+    rates = tuple(1.0 + 0.05 * k for k in range(60))
+    x = np.linspace(0.0, 150.0, 301)
+    want = Hypoexponential(rates).pdf(x), Hypoexponential(rates).cdf(x)
+    law = Hypoexponential(rates)
+    got = [None] * 6
 
-
-def test_setup_cache_drops_the_least_recently_used(empty_setup_cache, monkeypatch):
-    laws = [Hypoexponential((1.0, r)) for r in (2.0, 3.0, 4.0)]
-    sizes = [distributions._Uniformization(law.rates).nbytes for law in laws]
-    monkeypatch.setattr(distributions, "_CACHE_BYTES", sizes[0] + sizes[1])
-    x = np.array([0.3, 2.0])
-    laws[0].cdf(x)
-    want = laws[1].cdf(x)
-    laws[0].pdf(x)  # now the most recently used
-    laws[2].cdf(x)
-    assert list(_cached_setups()) == [laws[0].rates, laws[2].rates]
-    # a set-up above the whole budget is built for its call and not kept
-    monkeypatch.setattr(distributions, "_CACHE_BYTES", sizes[1] - 1)
-    np.testing.assert_array_equal(laws[1].cdf(x), want)
-    assert laws[1].rates not in _cached_setups()
-
-
-def test_setup_cache_under_threads(empty_setup_cache, monkeypatch):
-    # more threads than cores ask for five rate vectors, of which the budget
-    # holds two, switching often; set-ups are stand-ins that cost nothing to
-    # build, so most calls insert and evict.  Each call gets its own vector's
-    # set-up, and the byte count stays the cached set-ups' sum.
-    class SetUp:
-        nbytes = 100
-
-        def __init__(self, rates):
-            self.rates = rates
-
-    monkeypatch.setattr(distributions, "_Uniformization", SetUp)
-    monkeypatch.setattr(distributions, "_CACHE_BYTES", 250)
-    keys = [(float(i),) for i in range(5)]
-    wrong = []
-
-    def work(offset):
+    def work(t):
         try:
-            for k in range(4000):
-                key = keys[(offset + k * (offset + 1)) % len(keys)]
-                if distributions._uniformization(key).rates != key:
-                    wrong.append(key)
+            got[t] = law.pdf(x), law.cdf(x)
         except Exception as exc:  # a thread's error would otherwise be lost
-            wrong.append(exc)
+            got[t] = exc
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -275,8 +254,18 @@ def test_setup_cache_under_threads(empty_setup_cache, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert 1 <= len(_cached_setups()) <= 2
+    for result in got:
+        assert isinstance(result, tuple), result
+        for value, reference in zip(result, want):
+            np.testing.assert_array_equal(value, reference)
+
+
+def test_equal_laws_stay_equal_after_evaluation():
+    fresh, used = Hypoexponential((1.0, 2.0)), Hypoexponential((1.0, 2.0))
+    used.cdf(np.array([0.5, 1.0]))
+    assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+    assert StageChain((1.0, 2.0)) == used
+    assert len({fresh, used}) == 1
 
 
 @pytest.mark.parametrize("rates", [(2.0,), (1.0, 1.0, 0.25), (1.0, 2.0, 3.0, 4.0, 5.0)])
