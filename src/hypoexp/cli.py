@@ -27,7 +27,7 @@ from .errors import HypoexpError
 from .fitting import fit_eme
 from .gof import METHOD_NOTE, GofConfig, gof_residual_curve, gof_test
 from .identities import run_identity_checks
-from .io import open_output, read_samples, write_samples
+from .io import dist_to_dict, open_output, read_samples, write_samples
 
 
 class _UsageError(Exception):
@@ -127,15 +127,7 @@ def _cmd_fit(args):
         dist, ll = fit_eme(batch, n=args.n)
     else:
         dist, ll = fit_eme(batch, n=None, max_n=args.search or 5)
-    record = {
-        "type": "fit",
-        "family": "eme",
-        "n": dist.n,
-        "lambda": dist.rate,
-        "w": dist.w,
-        "log_likelihood": ll,
-        "count": len(batch),
-    }
+    record = {"type": "fit", **dist_to_dict(dist), "log_likelihood": ll, "count": len(batch)}
     lines = [
         f"family=eme n={dist.n} lambda={_fmt(dist.rate)} w={_fmt(dist.w)} "
         f"log_likelihood={_fmt(ll)} count={len(batch)}"
@@ -251,21 +243,24 @@ def _add_common(sub):
 
 
 def build_parser():
+    # allow_abbrev=False everywhere: a prefix such as --conf would otherwise
+    # parse as --config without the file being read
     parser = argparse.ArgumentParser(
         prog="hypoexp",
+        allow_abbrev=False,
         description="Hypoexponential/EME distributions, identity verification, "
                     "exponentiality testing, and absorption-chain simulation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("eval", help="evaluate pdf/cdf on a list of points")
+    p = sub.add_parser("eval", allow_abbrev=False, help="evaluate pdf/cdf on a list of points")
     _add_dist_flags(p)
     p.add_argument("--x", type=_csv_floats,
                    help="comma-separated evaluation points")
     _add_common(p)
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("sample", help="draw values from a distribution")
+    p = sub.add_parser("sample", allow_abbrev=False, help="draw values from a distribution")
     _add_dist_flags(p)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -273,7 +268,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("fit", help="maximum-likelihood EME fit")
+    p = sub.add_parser("fit", allow_abbrev=False, help="maximum-likelihood EME fit")
     p.add_argument("--in", dest="infile", default=None, help="sample file")
     p.add_argument("--column", default=None, help="CSV column name")
     p.add_argument("--n", type=int, default=None, help="fixed stage count")
@@ -282,7 +277,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("gof", help="bootstrap exponentiality test")
+    p = sub.add_parser("gof", allow_abbrev=False, help="bootstrap exponentiality test")
     p.add_argument("--in", dest="infile", default=None, help="sample file")
     p.add_argument("--column", default=None, help="CSV column name")
     p.add_argument("--n", type=int, default=2)
@@ -297,13 +292,15 @@ def build_parser():
     _add_common(p)
     p.set_defaults(handler=_cmd_gof)
 
-    p = sub.add_parser("verify", help="run the identity verification sweeps")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="run the identity verification sweeps")
     p.add_argument("--max-n", type=int, default=20)
     p.add_argument("--sweep", choices=["default", "quick"], default="default")
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("simulate", help="simulate absorption times of a stage chain")
+    p = sub.add_parser("simulate", allow_abbrev=False,
+                       help="simulate absorption times of a stage chain")
     p.add_argument("--stages", type=_csv_floats, default=None,
                    help="comma-separated stage rates, e.g. 1,1,1,1,0.2")
     p.add_argument("--count", type=int, default=None)

@@ -341,25 +341,34 @@ class EME(StageSum):
         return (draws[:, :-1].sum(axis=1) + self.w * draws[:, -1]) / self.rate
 
 
-def _exp_tail_series(n, u, derivative=False):
+def _exp_tail_series(n, u, derivatives=False):
     """sum_{j>=0} u^j * n! / (n+j)! = 1F1(1; n+1; u); stable for |u| <= n + 1.
 
-    With ``derivative`` also returns the u-derivative
-    sum_{j>=1} j u^(j-1) n! / (n+j)!, summed alongside (no division by u).
-    On |u| <= n + 1 the sum is at least e^-1 and the derivative at least
-    e^-2 / (n+1) (Jensen's inequality on the Beta(1, n) mixture), so the loop
-    stops once the largest term, at max |u|, falls below 1e-18 of those.  At
-    |u| = n + 1 the terms fall like exp(-j^2 / 2n), so about 9.4 sqrt(n)
-    of them are needed; the cap leaves room above that."""
+    With ``derivatives`` also returns the first and second u-derivatives
+    sum_{j>=1} j u^(j-1) n!/(n+j)! and sum_{j>=2} j (j-1) u^(j-2) n!/(n+j)!,
+    summed alongside (no division by u).  S(u) = E[exp(u B)], B ~ Beta(1, n),
+    so on |u| <= n + 1 Jensen's inequality on the Beta(1, n), Beta(2, n) and
+    Beta(3, n) mixtures bounds the sum below by e^-1, the first derivative by
+    e^-2 / (n+1) and the second by 2 e^-3 / ((n+1)(n+2)); the loop stops once
+    the largest term, at max |u|, falls below 1e-18 of the smallest bound in
+    use.  At |u| = n + 1 the terms fall like exp(-j^2 / 2n), so about
+    9.4 sqrt(n) of them are needed; the cap leaves room above that."""
     u_max = float(np.abs(u).max()) if u.size else 0.0
-    limit = 1e-19 / (n + 1) if derivative else 1e-19
+    limit = 1e-19 / ((n + 1) * (n + 2)) if derivatives else 1e-19
     term = np.ones_like(u)
     acc = np.ones_like(u)
     dacc = np.zeros_like(u)
+    d2acc = np.zeros_like(u)
+    dterm = np.empty_like(u)  # one buffer: fresh arrays per term cost page faults
     bound = 1.0
     for j in range(1, math.ceil(10.0 * math.sqrt(n)) + 600):
-        if derivative:
-            dacc += (j / (n + j)) * term
+        if derivatives:
+            # term of index j of the first derivative, and from it the term
+            # of index j + 1 of the second; both are summed past index j
+            np.multiply(term, j / (n + j), out=dterm)
+            dacc += dterm
+            dterm *= (j + 1) / (n + j + 1)
+            d2acc += dterm
         term *= u
         term *= 1.0 / (n + j)
         acc += term
@@ -370,10 +379,10 @@ def _exp_tail_series(n, u, derivative=False):
         raise ConvergenceError(
             f"EME series for n={n} did not converge in {j} terms (max |u| = {u_max:.6g})"
         )
-    return (acc, dacc) if derivative else acc
+    return (acc, dacc, d2acc) if derivatives else acc
 
 
-def _eme_logpdf(n, rate, w, x, score=False):
+def _eme_logpdf(n, rate, w, x, derivatives=False):
     """log density of EME(n, rate, w) at nonnegative x.
 
     With lx = rate*x, u = (w-1)/w * lx and pois(k, a) = a^k e^{-a} / k!,
@@ -395,15 +404,31 @@ def _eme_logpdf(n, rate, w, x, score=False):
     v^n e^{-lx/w} into |v| pois(n-1, lx) B (1 - 1/Q).  log pois is taken
     from ``special.log_poisson_weight``, which does not cancel at large n.
 
-    With ``score`` the derivatives of the log density in (log rate, log w)
-    are returned too, from the identity u S' = n (1 - S) + u S:
+    With ``derivatives`` it returns instead the mean log density over x, its
+    mean gradient and its mean Hessian in (a, b) = (log rate, log w).  With
+    t = n/S, L1 = S'/S, L2 = (log S)'' and R = u L1, and from du/da = u,
+    du/db = lx/w and dt/du = -t L1, each point contributes
 
-        d/dlog rate = 1 - lx/w + n/S
-        d/dlog w    = -1 + (lx/w) S'/S  =  -1 + (n/S - n + u) / (w - 1)
+        d/da = 1 - lx/w + t              d2/da2  = -lx/w - t R
+        d/db = -1 + L1 lx/w              d2/dadb = lx/w - t L1 lx/w
+                                         d2/db2  = -L1 lx/w + L2 (lx/w)^2
 
-    The first w form serves the series branch, where S' is summed with S and
-    w may be 1; the second the direct branch, where |u| > n+1 keeps w away
-    from 1 relative to the point.
+    The series branch sums S' and S'' with S.  The direct branch has t in
+    closed form and, from the identity u S' = n (1 - S) + u S,
+    R = t - n + u, so L1 lx/w = R/(w - 1) and, through L2 = (1 - t L1)/u - R/u^2,
+    d2/db2 = (u - (t + w) R)/(w - 1)^2, which does not cancel at large u as
+    S''/S - L1^2 does.  For w < 1, t and lx/w are both about -u and R about
+    -1, so these forms lose eps |u| absolutely; there rho = R + 1 is taken
+    from B, its moment E = -u dB/du and 1/Q, as
+    rho = (-E/B + (n - 1 - u)/Q)/(1 - 1/Q), and with
+    K = (n - 1) + u rho + (2 - n) rho - rho^2 the point contributes
+
+        d/da = n + rho - lx              d2/da2  = K - lx
+        d/db = (rho - w)/(w - 1)         d2/dadb = K/(w - 1)
+                                         d2/db2  = (K + w (1 - rho))/(w - 1)^2
+
+    which stay accurate as w -> 0, towards the Erlang(n) limit.  The terms
+    are reduced by sums and dot products; no per-point Hessian is formed.
     """
     shape = x.shape
     x = x.ravel()
@@ -420,16 +445,22 @@ def _eme_logpdf(n, rate, w, x, score=False):
         inside = abs_u <= n + 1.0
         series, direct = np.flatnonzero(inside), np.flatnonzero(~inside)
     log_rw = math.log(rate / w)
-    if score:
-        n_over_s = np.empty_like(x)
-        g_w = np.empty_like(x)
+    # sums over the points of d/da, d/db, d2/da2, d2/dadb and d2/db2
+    sums = np.zeros(5)
 
     lxs = lx[series]
     if lxs.size:
-        if score:
-            s, ds = _exp_tail_series(n, u[series], derivative=True)
-            n_over_s[series] = n / s
-            g_w[series] = -1.0 + lxs / w * ds / s
+        if derivatives:
+            us = u[series]
+            s, ds, d2s = _exp_tail_series(n, us, derivatives=True)
+            t = n / s
+            l1 = ds / s
+            lxw = lxs / w
+            g = l1 * lxw
+            lxw_sum, g_sum = lxw.sum(), g.sum()
+            sums += (lxs.size - lxw_sum + t.sum(), g_sum - lxs.size,
+                     -lxw_sum - t @ (l1 * us), lxw_sum - t @ g,
+                     (d2s / s) @ (lxw * lxw) - g @ g - g_sum)
         else:
             s = _exp_tail_series(n, u[series])
         out[series] = log_rw + log_poisson_weight(n, lxs) + np.log(s)
@@ -438,15 +469,24 @@ def _eme_logpdf(n, rate, w, x, score=False):
     if ud.size:
         lxd = lx[direct]
         # Q(n, u) = pois(n-1, u) B, with B summed from its k = n-1 term
-        b = partial_exp_sum(n, ud)
         if w > 1.0:
+            b = partial_exp_sum(n, ud)
             q = np.exp(log_poisson_weight(n - 1, ud)) * b  # in (0, 1/2] for u > n+1
             out[direct] = (
                 log_rw + n * (math.log(w) - math.log(w - 1.0)) - lxd / w + np.log1p(-q)
             )
-            if score:
-                nd = ud * q / (b * (1.0 - q))  # n/S = u Q / (B (1 - Q))
+            if derivatives:
+                t = ud * q / (b * (1.0 - q))  # n/S = u Q / (B (1 - Q))
+                r = t - n + ud
+                lxw_sum, t_r = lxd.sum() / w, t @ r
+                sums += (ud.size - lxw_sum + t.sum(), r.sum() / (w - 1.0) - ud.size,
+                         -lxw_sum - t_r, lxw_sum - t_r / (w - 1.0),
+                         (ud.sum() - (t + w) @ r) / (w - 1.0) ** 2)
         else:
+            if derivatives:
+                b, e = partial_exp_sum(n, ud, moment=True)
+            else:
+                b = partial_exp_sum(n, ud)
             inv_q = (-1.0) ** (n - 1) * np.exp(
                 ud - (n - 1) * np.log(-ud) + math.lgamma(n) - np.log(b)
             )
@@ -456,15 +496,18 @@ def _eme_logpdf(n, rate, w, x, score=False):
                 + log_poisson_weight(n - 1, lxd)
                 + np.log(b * (1.0 - inv_q))
             )
-            if score:
-                nd = ud / (b * (inv_q - 1.0))
-        if score:
-            n_over_s[direct] = nd
-            g_w[direct] = -1.0 + (nd - n + ud) / (w - 1.0)
+            if derivatives:
+                rho = (-e / b + (n - 1.0 - ud) * inv_q) / (1.0 - inv_q)
+                rho_sum, lx_sum = rho.sum(), lxd.sum()
+                k_sum = (n - 1.0) * ud.size + (2.0 - n) * rho_sum - rho @ rho + ud @ rho
+                sums += (n * ud.size + rho_sum - lx_sum, (rho_sum - w * ud.size) / (w - 1.0),
+                         k_sum - lx_sum, k_sum / (w - 1.0),
+                         (k_sum + w * (ud.size - rho_sum)) / (w - 1.0) ** 2)
 
-    if score:
-        return out.reshape(shape), (1.0 - lx / w + n_over_s).reshape(shape), g_w.reshape(shape)
-    return out.reshape(shape)
+    if not derivatives:
+        return out.reshape(shape)
+    d_a, d_b, h_aa, h_ab, h_bb = sums / x.size
+    return float(out.mean()), np.array([d_a, d_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
 
 def _eme_cdf(n, rate, w, x):

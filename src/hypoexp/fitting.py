@@ -1,12 +1,14 @@
 """Maximum-likelihood fitting of the exponentially modified Erlang family.
 
 The stage count n is discrete, so it is either supplied or scanned; for each
-n the likelihood is maximized over (rate, w) by a quasi-Newton search
-(L-BFGS-B) in (log rate, log w) coordinates with the closed-form score of the
-density kernel, started from the method-of-moments inversion of
-mean = (n + w)/rate and var = (n + w^2)/rate^2.  The search runs on the data
-divided by their mean; EME is a scale family, so the fitted rate maps back
-exactly.
+n the likelihood is maximized over (rate, w) by Newton steps in a trust
+region (scipy's ``trust-exact``) in (log rate, log w) coordinates.  One pass
+of the density kernel gives the mean log-likelihood with its exact score and
+Hessian.  The search starts from the method-of-moments inversion of
+mean = (n + w)/rate and var = (n + w^2)/rate^2, from both roots where there
+are two, except at n = 1, where the two are mirror images of one law.  It
+runs on the data divided by their mean; EME is a scale family, so the fitted
+rate maps back exactly.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ from .errors import ConvergenceError, DataError
 optimize = LazyModule("scipy.optimize")
 
 MAX_ITERATIONS = 500
-# The search converges when the largest component of the mean score (per
-# observation, in log rate and log w) is below SCORE_TOL.  Its relative-
-# reduction test is off (ftol = 0): at the default it left w off by 7e-6
-# relative on the EME(3, 2, 0.25) sample of acceptance 10.  It also stops
-# when rounding in the likelihood defeats its line search, which leaves mean
-# scores up to a few 1e-8 (2e-7 seen at the w -> 0 edge); however it ends,
-# its result is accepted only below STATIONARY_SCORE.  The sampling spread
-# of the mean score is of order 1/sqrt(N), far above either bound.
+# The search converges when the mean score (per observation, in log rate and
+# log w) has norm below SCORE_TOL, so that each component is below it.  Where
+# rounding keeps the score above that, in the last steps towards a maximum or
+# at the edges where the likelihood has none (w -> 0 towards Erlang(n), and
+# w -> inf with rate/w fixed towards the exponential), the trust region
+# shrinks until its model predicts no decrease, and the search ends there.
+# However it ends, its result is accepted only below STATIONARY_SCORE.  The
+# sampling spread of the mean score is of order 1/sqrt(N), far above either
+# bound.
 SCORE_TOL = 1e-9
 STATIONARY_SCORE = 1e-6
 
@@ -71,39 +74,44 @@ def _fit_fixed_n(x, n):
     scale = x.mean()
     y = np.sort(x) / scale
 
-    evaluated = {}
+    passes = {}
 
-    def objective(z):
-        # mean negative log-likelihood and its gradient in (log rate, log w);
-        # remembered, because the search starts where the start was scored
+    def likelihood(z):
+        # mean negative log-likelihood, its gradient and its Hessian in
+        # (log rate, log w), all from one kernel pass; remembered, because the
+        # search asks for the Hessian apart and starts where the start was
+        # scored
         key = tuple(z)
-        if key not in evaluated:
-            logf, d_rate, d_w = _eme_logpdf(n, math.exp(z[0]), math.exp(z[1]), y, score=True)
-            evaluated[key] = (-logf.mean(), -d_rate.mean(), -d_w.mean())
-        value, g_rate, g_w = evaluated[key]
-        return value, np.array([g_rate, g_w])
+        if key not in passes:
+            ll, score, hessian = _eme_logpdf(n, math.exp(z[0]), math.exp(z[1]), y, derivatives=True)
+            passes[key] = (-ll, -score, -hessian)
+        return passes[key]
 
+    # EME(1, r, w) and EME(1, r/w, 1/w) are one law, so the two moment
+    # starts at n = 1 are mirror images of one search; the w >= 1 one runs
+    starts = moment_start(y, n)[: 1 if n == 1 else None]
     best = None
     start_ll = -math.inf
-    for rate0, w0 in moment_start(y, n):
+    for rate0, w0 in starts:
         z0 = np.array([math.log(rate0), math.log(w0)])
-        start_ll = max(start_ll, -objective(z0)[0])
+        start_ll = max(start_ll, -likelihood(z0)[0])
         res = optimize.minimize(
-            objective,
+            lambda z: likelihood(z)[:2],
             z0,
-            method="L-BFGS-B",
+            method="trust-exact",
             jac=True,
-            options={"maxiter": MAX_ITERATIONS, "ftol": 0.0, "gtol": SCORE_TOL},
+            hess=lambda z: likelihood(z)[2],
+            options={"maxiter": MAX_ITERATIONS, "gtol": SCORE_TOL},
         )
         if res.status == 1:
             raise ConvergenceError(
-                f"quasi-Newton search hit the {MAX_ITERATIONS}-iteration cap for n={n}: "
+                f"Newton search hit the {MAX_ITERATIONS}-iteration cap for n={n}: "
                 f"{res.message}"
             )
         # whatever the status, only a stationary point is accepted
         if not np.max(np.abs(res.jac)) <= STATIONARY_SCORE:
             raise ConvergenceError(
-                f"quasi-Newton search stopped away from a stationary point for n={n}: "
+                f"Newton search stopped away from a stationary point for n={n}: "
                 f"{res.message} (mean score {res.jac.tolist()})"
             )
         if best is None or res.fun < best.fun:
@@ -113,8 +121,8 @@ def _fit_fixed_n(x, n):
         raise ConvergenceError(f"optimizer returned below its starting likelihood for n={n}")
     rate, w = math.exp(best.x[0]) / scale, math.exp(best.x[1])
     if n == 1 and w < 1.0:
-        # EME(1, rate, w) and EME(1, rate/w, 1/w) are one law (two stages of
-        # rates rate and rate/w); report the form with w >= 1
+        # report the form with w >= 1 of the one law (two stages of rates
+        # rate and rate/w)
         rate, w = rate / w, 1.0 / w
     return EME(n=n, rate=rate, w=w), y.size * (ll - math.log(scale))
 

@@ -44,17 +44,22 @@ def log_poisson_weight(k, lam):
     return k * core - (0.5 * math.log(2 * math.pi * k) + _stirling_tail(k))
 
 
-def partial_exp_sum(n, t):
+def partial_exp_sum(n, t, moment=False):
     """B with sum_{k<n} t^k / k! = (t^(n-1) / (n-1)!) B elementwise, for an
     array t with every |t| >= n - 1.
 
     The sum runs backward from its k = n - 1 term by factors (k + 1) / t of
-    modulus at most 1, so nothing overflows and the signs stay exact."""
+    modulus at most 1, so nothing overflows and the signs stay exact.  With
+    ``moment`` it also returns E, the same terms summed with weight
+    n - 1 - k, which is E = -t dB/dt."""
     total = np.ones_like(t)
     term = np.ones_like(t)
+    first = np.zeros_like(t) if moment else None
     for d in range(1, n):  # k = n - 1 - d
         term *= (n - d) / t
         total += term
+        if moment:
+            first += d * term
         if d % 16 == 0 and not np.any(np.abs(term) > 1e-18):
             break
-    return total
+    return (total, first) if moment else total

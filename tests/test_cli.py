@@ -341,6 +341,31 @@ class TestConfigFile:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    def test_abbreviated_config_is_usage_error(self, capsys, tmp_path):
+        # argparse took --conf for --config, but the file was never read:
+        # verify ran its full 178,425-check sweep instead of 4,017 checks
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("max_n = 3\nsweep = quick\n")
+        code, out, err = run_cli(capsys, "verify", "--conf", str(cfg), "--format", "structured")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --conf" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--dist", "exp", "--lambda", "1", "--x", "1"],
+        ["sample", "--dist", "exp", "--lambda", "1", "--count", "2"],
+        ["fit", "--in", "missing.txt", "--n", "2"],
+        ["gof", "--in", "missing.txt"],
+        ["verify", "--max-n", "2"],
+        ["simulate", "--stages", "1,2", "--count", "2"],
+    ])
+    def test_no_subcommand_takes_an_abbreviated_flag(self, capsys, argv):
+        # --form is a prefix of --format, which every subcommand has
+        code, out, err = run_cli(capsys, *argv, "--form", "structured")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --form" in err
+
     @pytest.mark.parametrize("second", [["--config", "b.cfg"], ["--config=b.cfg"]])
     def test_second_config_is_usage_error(self, capsys, tmp_path, second):
         # the second one was dropped

@@ -353,8 +353,8 @@ class TestEME:
                         want = float(_eme_logpdf_mp(mpmath, n, 0.0, math.log(w), xi))
                     assert gi == pytest.approx(want, rel=1e-12), (n, w, xi)
 
-    def test_score_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
+    @staticmethod
+    def _score_grid():
         rate = 1.3
         for n in (1, 2, 3, 20):
             for w in (0.25, 1.0 - 1e-6, 1.0, 1.0 + 1e-9, 4.0):
@@ -362,16 +362,68 @@ class TestEME:
                 if w != 1.0:
                     edge = (n + 1) * w / (abs(w - 1.0) * rate)
                     x += [edge * (1 - 1e-6), edge * (1 + 1e-6), 2.0 * edge]
-                logf, d_rate, d_w = _eme_logpdf(n, rate, w, np.array(x), score=True)
-                assert np.all(np.isfinite(d_rate)) and np.all(np.isfinite(d_w))
-                for i, xi in enumerate(x):
-                    with mpmath.workdps(40):
-                        a0, b0 = mpmath.log(rate), mpmath.log(w)
-                        want_rate = mpmath.diff(lambda a: _eme_logpdf_mp(mpmath, n, a, b0, xi), a0)
-                        want_w = mpmath.diff(lambda b: _eme_logpdf_mp(mpmath, n, a0, b, xi), b0)
-                    for got, want in ((d_rate[i], want_rate), (d_w[i], want_w)):
-                        want = float(want)
-                        assert abs(got - want) <= 1e-8 * max(abs(want), 1.0), (n, w, xi)
+                for xi in x:
+                    yield n, rate, w, xi
+
+    @staticmethod
+    def _mp_derivatives(mpmath, n, rate, w, xi, orders, dps=40):
+        def logf(a, b):
+            return _eme_logpdf_mp(mpmath, n, a, b, xi)
+
+        with mpmath.workdps(dps):
+            a0, b0 = mpmath.log(rate), mpmath.log(w)
+            return [float(mpmath.diff(logf, (a0, b0), order)) for order in orders]
+
+    def test_score_against_mpmath(self):
+        # one point at a time: the kernel's means are then that point's values
+        mpmath = pytest.importorskip("mpmath")
+        for n, rate, w, xi in self._score_grid():
+            _, score, _ = _eme_logpdf(n, rate, w, np.array([xi]), derivatives=True)
+            d_rate, d_w = score
+            assert np.isfinite(d_rate) and np.isfinite(d_w)
+            wants = self._mp_derivatives(mpmath, n, rate, w, xi, [(1, 0), (0, 1)])
+            for got, want in zip((d_rate, d_w), wants):
+                assert abs(got - want) <= 1e-8 * max(abs(want), 1.0), (n, w, xi)
+
+    def test_hessian_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n, rate, w, xi in self._score_grid():
+            _, _, hessian = _eme_logpdf(n, rate, w, np.array([xi]), derivatives=True)
+            assert hessian[0, 1] == hessian[1, 0]
+            wants = self._mp_derivatives(mpmath, n, rate, w, xi, [(2, 0), (1, 1), (0, 2)])
+            for got, want in zip((hessian[0, 0], hessian[0, 1], hessian[1, 1]), wants):
+                assert abs(got - want) <= 1e-8 * max(abs(want), 1.0), (n, w, xi)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("w", [1e-3, 0.25, 4.0, 1e3])
+    def test_direct_branch_derivatives_at_large_u(self, n, w):
+        # out to |u| = 1e5.  For w < 1 the forms in t = n/S and R = u S'/S
+        # lost up to 1.2e-6 relative there: t and lx/w are both about -u
+        mpmath = pytest.importorskip("mpmath")
+        rate = 1.3
+        for abs_u in (1e2, 1e4, 1e5):
+            xi = abs_u * w / (abs(w - 1.0) * rate)
+            mean_ll, score, hessian = _eme_logpdf(n, rate, w, np.array([xi]), derivatives=True)
+            got = [score[0], score[1], hessian[0, 0], hessian[0, 1], hessian[1, 1]]
+            wants = self._mp_derivatives(
+                mpmath, n, rate, w, xi, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], dps=60)
+            for g, want in zip(got, wants):
+                assert abs(g - want) <= 1e-13 * max(abs(want), 1.0), (abs_u, g, want)
+            assert mean_ll == _eme_logpdf(n, rate, w, np.array([xi]))[0]
+
+    def test_derivatives_are_means_over_the_points(self):
+        # both branches and the three kinds of term in one call
+        rng = np.random.default_rng(3)
+        for n, w in ((2, 4.0), (3, 0.25), (1, 1.0)):
+            x = np.sort(rng.exponential(2.0, 50))
+            mean_ll, score, hessian = _eme_logpdf(n, 1.1, w, x, derivatives=True)
+            points = [_eme_logpdf(n, 1.1, w, np.array([xi]), derivatives=True) for xi in x]
+            assert mean_ll == pytest.approx(np.mean([p[0] for p in points]), rel=1e-14)
+            np.testing.assert_allclose(score, np.mean([p[1] for p in points], axis=0),
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(hessian, np.mean([p[2] for p in points], axis=0),
+                                       rtol=1e-12, atol=1e-14)
+            assert mean_ll == pytest.approx(_eme_logpdf(n, 1.1, w, x).mean(), rel=1e-15)
 
     @pytest.mark.parametrize("n, w", [(20, 0.8), (40, 0.55)])
     def test_cdf_series_branch_against_mpmath(self, n, w):

@@ -1,6 +1,7 @@
 """EME maximum-likelihood fitting."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from hypoexp import (
     DataError,
     Erlang,
     ParameterError,
+    derive_rng,
     eme_log_likelihood,
     fit_eme,
     moment_start,
 )
 from hypoexp import fitting
+from hypoexp.distributions import _eme_logpdf
 
 
 class TestValidation:
@@ -181,3 +184,58 @@ class TestRecovery:
         _, ll_one = fit_eme(x, n=1)
         best, ll_best = fit_eme(x, n=None, max_n=4)
         assert ll_best >= ll_one
+
+
+class TestNewtonSearch:
+    @staticmethod
+    def _count(monkeypatch):
+        """Counts of kernel passes and of searches run by ``fit_eme``."""
+        counts = {"passes": 0, "searches": 0}
+        kernel, minimize = fitting._eme_logpdf, fitting.optimize.minimize
+
+        def counted_kernel(*args, **kwargs):
+            counts["passes"] += 1
+            return kernel(*args, **kwargs)
+
+        def counted_minimize(*args, **kwargs):
+            counts["searches"] += 1
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "_eme_logpdf", counted_kernel)
+        monkeypatch.setattr(fitting, "optimize", SimpleNamespace(minimize=counted_minimize))
+        return counts
+
+    @pytest.mark.parametrize("n, rate, w", [(2, 1.0, 4.0), (3, 2.0, 0.25)])
+    def test_passes_per_start_on_acceptance_data(self, monkeypatch, n, rate, w):
+        # L-BFGS-B took 30 and 18 passes over the starts on these datasets
+        data = EME(n, rate, w).sample(100_000, derive_rng(20260110, "fit", n))
+        counts = self._count(monkeypatch)
+        fit_eme(data, n=n)
+        assert counts["searches"] == len(moment_start(data, n))
+        assert counts["passes"] <= 8 * counts["searches"]
+
+    def test_n1_runs_one_start_and_finds_the_two_start_law(self, monkeypatch):
+        # EME(1, r, w) and EME(1, r/w, 1/w) are one law, so the two moment
+        # starts are mirror images; the two-start L-BFGS-B search gave this law
+        x = EME(1, 0.5, 2.0).sample(2_000, np.random.default_rng(0))
+        assert len(moment_start(x, 1)) == 2
+        counts = self._count(monkeypatch)
+        fit, ll = fit_eme(x, n=1)
+        assert counts["searches"] == 1
+        assert fit.rate == pytest.approx(0.4949216432019442, rel=1e-7)
+        assert fit.w == pytest.approx(1.9521522158447224, rel=1e-7)
+        assert ll >= -5362.472862017984 - 1e-9 * 5362.5
+
+    @pytest.mark.parametrize(
+        "n, parent_ll", [(1, -464.1603826863227), (2, -464.16038859538816), (3, -464.1603886784321)])
+    def test_exponential_ridge_gives_stationary_fits(self, n, parent_ll):
+        # Weibull(0.5) data climb the ridge w -> inf with rate/w fixed; the
+        # search must stop there at a stationary point, and no lower than
+        # the L-BFGS-B search did
+        x = np.random.default_rng([2, 300]).weibull(0.5, 300)
+        fit, ll = fit_eme(x, n=n)
+        assert ll == pytest.approx(eme_log_likelihood(x, fit), rel=1e-12)
+        assert ll >= parent_ll - 1e-9 * abs(parent_ll)
+        scale = x.mean()
+        _, score, _ = _eme_logpdf(n, fit.rate * scale, fit.w, np.sort(x) / scale, derivatives=True)
+        assert np.max(np.abs(score)) <= fitting.STATIONARY_SCORE
