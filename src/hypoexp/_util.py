@@ -100,6 +100,8 @@ def check_w(w):
 def as_points(x, name="x"):
     """Evaluation points: a float for a scalar ``x``, else a float64 array of
     its shape; DomainError unless every point is finite and nonnegative."""
+    if type(x) is float and 0.0 <= x < math.inf:
+        return x
     arr = np.asarray(x, dtype=float)
     ok = (arr >= 0.0) & (arr < math.inf)
     if not ok.all():

@@ -8,11 +8,13 @@ Hessian.  The search starts from the method-of-moments inversion of
 mean = (n + w)/rate and var = (n + w^2)/rate^2, from both roots where there
 are two, except at n = 1, where the two are mirror images of one law.  It
 runs on the data divided by their mean; EME is a scale family, so the fitted
-rate maps back exactly.
+rate maps back exactly.  From N = 8192 on, each start is first searched on
+every k-th of the sorted data, k = N // 4096, then on all of them from there.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -35,6 +37,8 @@ MAX_ITERATIONS = 500
 # bound.
 SCORE_TOL = 1e-9
 STATIONARY_SCORE = 1e-6
+# size of the subsample each start is first searched on (to STATIONARY_SCORE)
+COARSE_POINTS = 4096
 
 
 def eme_log_likelihood(values, dist):
@@ -67,26 +71,39 @@ def moment_start(values, n):
     return starts
 
 
-def _fit_fixed_n(x, n):
-    # EME is a scale family: fit the data divided by their mean and rescale
-    # the rate, so no log(scale) term enters the likelihood the search sees.
-    # Ascending order lets the density kernel split its branches by slices.
-    scale = x.mean()
-    y = np.sort(x) / scale
-
+def _objective(n, y):
+    """Mean negative log-likelihood of EME(n, e^z[0], e^z[1]) on ``y``, with
+    its gradient and Hessian in z, from one kernel pass per point z;
+    remembered, because the search asks for the Hessian apart and starts
+    where the start was scored."""
     passes = {}
 
     def likelihood(z):
-        # mean negative log-likelihood, its gradient and its Hessian in
-        # (log rate, log w), all from one kernel pass; remembered, because the
-        # search asks for the Hessian apart and starts where the start was
-        # scored
         key = tuple(z)
         if key not in passes:
-            ll, score, hessian = _eme_logpdf(n, math.exp(z[0]), math.exp(z[1]), y, derivatives=True)
+            try:
+                ll, score, hessian = _eme_logpdf(
+                    n, math.exp(z[0]), math.exp(z[1]), y, derivatives=True)
+            except (ArithmeticError, ValueError) as exc:  # rate or w is 0 or overflows
+                raise ConvergenceError(
+                    f"Newton search stepped out of range for n={n}: "
+                    f"(log rate, log w) = {list(key)} ({exc})") from exc
             passes[key] = (-ll, -score, -hessian)
         return passes[key]
 
+    return likelihood
+
+
+def _search(likelihood, z0, gtol):
+    return optimize.minimize(lambda z: likelihood(z)[:2], z0, method="trust-exact", jac=True,
+                             hess=lambda z: likelihood(z)[2],
+                             options={"maxiter": MAX_ITERATIONS, "gtol": gtol})
+
+
+def _fit_fixed_n(y, coarse, scale, n):
+    # y: the sorted data over their mean ``scale``; coarse: every k-th of y, or None
+    likelihood = _objective(n, y)
+    coarse_likelihood = None if coarse is None else _objective(n, coarse)
     # EME(1, r, w) and EME(1, r/w, 1/w) are one law, so the two moment
     # starts at n = 1 are mirror images of one search; the w >= 1 one runs
     starts = moment_start(y, n)[: 1 if n == 1 else None]
@@ -94,15 +111,15 @@ def _fit_fixed_n(x, n):
     start_ll = -math.inf
     for rate0, w0 in starts:
         z0 = np.array([math.log(rate0), math.log(w0)])
+        if coarse_likelihood is not None:
+            # advisory: only the full search below is checked; where this
+            # one fails, that one starts from the moment start
+            with contextlib.suppress(ConvergenceError):
+                res = _search(coarse_likelihood, z0, STATIONARY_SCORE)
+                if np.isfinite([*res.x, res.fun]).all():
+                    z0 = res.x
         start_ll = max(start_ll, -likelihood(z0)[0])
-        res = optimize.minimize(
-            lambda z: likelihood(z)[:2],
-            z0,
-            method="trust-exact",
-            jac=True,
-            hess=lambda z: likelihood(z)[2],
-            options={"maxiter": MAX_ITERATIONS, "gtol": SCORE_TOL},
-        )
+        res = _search(likelihood, z0, SCORE_TOL)
         if res.status == 1:
             raise ConvergenceError(
                 f"Newton search hit the {MAX_ITERATIONS}-iteration cap for n={n}: "
@@ -152,17 +169,24 @@ def fit_eme(data, n=None, max_n=5):
     DataError
         Empty, nonpositive, or degenerate (all-identical) data.
     ConvergenceError
-        The search hit its iteration cap, ended away from a stationary point,
-        or ended below its starting likelihood.
+        The search stepped to a rate or w that is not a positive float, hit
+        its iteration cap, ended away from a stationary point, or ended below
+        its starting likelihood.
     """
     x = as_values(data, require_positive=True)
     if np.ptp(x) == 0.0:
         raise DataError("data are degenerate: all values identical")
     if n is not None:
-        return _fit_fixed_n(x, check_positive_int(n, "n"))
-    best = None
-    for cand in range(1, check_positive_int(max_n, "max_n") + 1):
-        dist, ll = _fit_fixed_n(x, cand)
-        if best is None or ll > best[1]:
-            best = (dist, ll)
-    return best
+        stage_counts = [check_positive_int(n, "n")]
+    else:
+        stage_counts = range(1, check_positive_int(max_n, "max_n") + 1)
+    # EME is a scale family: fit the data divided by their mean and rescale
+    # the rate, so no log(scale) term enters the likelihood the search sees.
+    # Ascending order lets the density kernel split its branches by slices.
+    scale = x.mean()
+    y = np.sort(x) / scale
+    k = y.size // COARSE_POINTS
+    coarse = y[k // 2 :: k].copy() if k >= 2 else None
+    # the first of the best log-likelihoods wins
+    return max((_fit_fixed_n(y, coarse, scale, cand) for cand in stage_counts),
+               key=lambda fit: fit[1])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ class TestSampleAndFit:
         rec = json.loads(out.strip())
         mean = (rec["n"] + rec["w"]) / rec["lambda"]
         assert mean == pytest.approx(3.0, rel=0.05)
+
+    @pytest.mark.parametrize("z", [(0.0, -800.0), (0.0, 800.0), (-800.0, 0.0)])
+    def test_fit_step_out_of_range_is_one_error_line(self, capsys, tmp_path, monkeypatch, z):
+        import hypoexp.fitting
+
+        def minimize(fun, z0, **kwargs):
+            fun(np.array(z))
+
+        monkeypatch.setattr(hypoexp.fitting, "optimize", SimpleNamespace(minimize=minimize))
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(map(str, np.random.default_rng(0).exponential(1.0, 300))))
+        code, out, err = run_cli(capsys, "fit", "--in", str(data), "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Newton search stepped out of range for n=2")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("search", ["0", "-2"])
     def test_fit_search_below_one_is_usage_error(self, capsys, tmp_path, search):

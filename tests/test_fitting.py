@@ -189,12 +189,13 @@ class TestRecovery:
 class TestNewtonSearch:
     @staticmethod
     def _count(monkeypatch):
-        """Counts of kernel passes and of searches run by ``fit_eme``."""
-        counts = {"passes": 0, "searches": 0}
+        """The number of searches run by ``fit_eme``, and the number of
+        points of each kernel pass."""
+        counts = {"searches": 0, "sizes": []}
         kernel, minimize = fitting._eme_logpdf, fitting.optimize.minimize
 
         def counted_kernel(*args, **kwargs):
-            counts["passes"] += 1
+            counts["sizes"].append(len(args[3]))
             return kernel(*args, **kwargs)
 
         def counted_minimize(*args, **kwargs):
@@ -207,12 +208,43 @@ class TestNewtonSearch:
 
     @pytest.mark.parametrize("n, rate, w", [(2, 1.0, 4.0), (3, 2.0, 0.25)])
     def test_passes_per_start_on_acceptance_data(self, monkeypatch, n, rate, w):
-        # L-BFGS-B took 30 and 18 passes over the starts on these datasets
+        # L-BFGS-B took 30 and 18 passes on all the data over the starts on
+        # these datasets, Newton steps from the moment starts 14 and 8; from
+        # the end of the coarse search Newton only has to converge.  A pass on
+        # all the data is told from a coarse one by its point count.
         data = EME(n, rate, w).sample(100_000, derive_rng(20260110, "fit", n))
         counts = self._count(monkeypatch)
         fit_eme(data, n=n)
-        assert counts["searches"] == len(moment_start(data, n))
-        assert counts["passes"] <= 8 * counts["searches"]
+        starts = len(moment_start(data, n))
+        assert counts["searches"] == 2 * starts
+        assert counts["sizes"].count(data.size) <= 4 * starts
+        # every 24th order statistic from the 12th
+        assert set(counts["sizes"]) == {data.size, len(range(12, data.size, 24))}
+
+    def test_points_and_fits_on_the_benchmark_fit_inputs(self, monkeypatch):
+        # the two fixed-n fits and the stage scan of perfbench's
+        # model_pipeline, against the laws, log-likelihoods and point counts
+        # of the search on all the data from the moment starts
+        inputs = [
+            (EME(2, 1.0, 4.0).sample(100_000, derive_rng(20260110, "fit", 2)), 2,
+             (0.9909747265399209, 3.97192733637236, -263570.21486750315, 1_400_000)),
+            (EME(3, 2.0, 0.25).sample(100_000, derive_rng(20260110, "fit", 3)), 3,
+             (2.0113031081058073, 0.2624598056781534, -117021.95360717988, 800_000)),
+            (EME(2, 1.0, 4.0).sample(20_000, derive_rng(20260110, "scan")), None,
+             (0.9946087094039368, 3.9803759614834404, -52667.92589573227, 540_000)),
+        ]
+        counts = self._count(monkeypatch)
+        total = 0
+        for data, n, (rate, w, parent_ll, parent_points) in inputs:
+            counts["sizes"].clear()
+            fit, ll = fit_eme(data, n=n)
+            assert fit.n == (2 if n is None else n)
+            assert ll >= parent_ll - 1e-12 * abs(parent_ll)
+            assert fit.rate == pytest.approx(rate, rel=1e-7)
+            assert fit.w == pytest.approx(w, rel=1e-7)
+            assert sum(counts["sizes"]) < parent_points
+            total += sum(counts["sizes"])
+        assert total <= 0.75 * 2_740_000
 
     def test_n1_runs_one_start_and_finds_the_two_start_law(self, monkeypatch):
         # EME(1, r, w) and EME(1, r/w, 1/w) are one law, so the two moment
@@ -239,3 +271,63 @@ class TestNewtonSearch:
         scale = x.mean()
         _, score, _ = _eme_logpdf(n, fit.rate * scale, fit.w, np.sort(x) / scale, derivatives=True)
         assert np.max(np.abs(score)) <= fitting.STATIONARY_SCORE
+
+
+class TestCoarseSearch:
+    @pytest.mark.parametrize("size, coarse", [(300, None), (8191, None), (8192, 4096)])
+    def test_only_from_8192_points_on(self, monkeypatch, size, coarse):
+        # below 2 * COARSE_POINTS every kernel call sees all the data and each
+        # start runs one search, as before the coarse search; at 8192 every
+        # second point is searched first
+        x = EME(2, 1.0, 4.0).sample(size, np.random.default_rng(size))
+        starts = len(moment_start(x, 2))
+        counts = TestNewtonSearch._count(monkeypatch)
+        fit_eme(x, n=2)
+        if coarse is None:
+            assert set(counts["sizes"]) == {size} and counts["searches"] == starts
+        else:
+            assert set(counts["sizes"]) == {size, coarse} and counts["searches"] == 2 * starts
+
+    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
+    def test_failed_coarse_search_leaves_the_search_from_the_moment_start(
+            self, monkeypatch, failure):
+        x = EME(2, 1.0, 4.0).sample(10_000, np.random.default_rng(11))
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "COARSE_POINTS", x.size)
+            want = fit_eme(x, n=2)
+        kernel, search = fitting._eme_logpdf, fitting._search
+
+        def failing_kernel(n, rate, w, y, **kwargs):
+            if y.size < x.size:
+                raise OverflowError("math range error")
+            return kernel(n, rate, w, y, **kwargs)
+
+        def non_finite_search(likelihood, z0, gtol):
+            if gtol == fitting.STATIONARY_SCORE:
+                return SimpleNamespace(x=np.array([np.nan, 0.0]), fun=np.nan)
+            return search(likelihood, z0, gtol)
+
+        if failure == "raises":
+            monkeypatch.setattr(fitting, "_eme_logpdf", failing_kernel)
+        else:
+            monkeypatch.setattr(fitting, "_search", non_finite_search)
+        got = fit_eme(x, n=2)
+        assert (got[0].rate, got[0].w, got[1]) == (want[0].rate, want[0].w, want[1])
+
+    def test_two_fits_of_the_same_data_are_identical(self):
+        x = EME(3, 2.0, 0.25).sample(20_000, np.random.default_rng(12))
+        first, second = fit_eme(x), fit_eme(x.copy())
+        assert (first[0].n, first[0].rate, first[0].w, first[1]) == (
+            second[0].n, second[0].rate, second[0].w, second[1])
+
+    @pytest.mark.parametrize("z", [(0.0, -800.0), (0.0, 800.0), (-800.0, 0.0)])
+    def test_step_out_of_range_raises_convergence_error(self, monkeypatch, z):
+        # w underflows to 0 (ZeroDivisionError), w overflows (OverflowError),
+        # and rate underflows to 0 (math domain error in log rate)
+        def minimize(fun, z0, **kwargs):
+            fun(np.array(z))
+
+        monkeypatch.setattr(fitting, "optimize", SimpleNamespace(minimize=minimize))
+        x = EME(2, 1.0, 4.0).sample(300, np.random.default_rng(0))
+        with pytest.raises(ConvergenceError, match=r"out of range for n=2: \(log rate, log w\)"):
+            fit_eme(x, n=2)

@@ -3,7 +3,9 @@
 import importlib.util
 import inspect
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,38 @@ class A:
 '''
     # code: import, class, def, the two-line string assignment, the two-line return
     assert _load("src_lines").code_lines(text) == 7
+
+
+def test_fit_sweep_runs_a_tiny_sweep_and_compares_two(tmp_path, monkeypatch):
+    tool = _load("fit_sweep")
+    monkeypatch.setattr(tool, "SIZES", (300,))
+    monkeypatch.setattr(tool, "SEEDS", (1,))
+    monkeypatch.setattr(tool, "MAX_N", 2)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "sweep.jsonl"
+    assert tool.main(["--src", str(ROOT / "src"), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 10 * 2
+    assert {(r["N"], r["seed"]) for r in records} == {(300, 1)}
+    assert all(r["calls"] >= 1 and r["points"] == 300 * r["calls"] for r in records)
+    assert all(math.isfinite(r["ll"]) and r["rate"] > 0.0 and r["w"] > 0.0 for r in records)
+
+    listed, totals = tool.compare(records, records)
+    assert listed == []
+    assert totals["base"] == totals["change"]
+    assert totals["base"]["fits"] == 20 and totals["base"]["raised"] == 0
+    # a fit lower by more than 1e-9 |ll|, one that now raises, one lower by less
+    change = [dict(r) for r in records]
+    change[0]["ll"] -= 2e-9 * abs(change[0]["ll"])
+    change[1] = {**{k: change[1][k] for k in ("family", "N", "seed", "n", "calls", "points")},
+                 "error": "ConvergenceError: stopped"}
+    change[2]["ll"] -= 0.5e-9 * abs(change[2]["ll"])
+    listed, totals = tool.compare(records, change)
+    assert [line.split(":")[0] for line in listed] == ["lower", "raises on one side"]
+    assert totals["change"]["raised"] == 1
+    (tmp_path / "change.jsonl").write_text("".join(json.dumps(r) + "\n" for r in change))
+    assert tool.main(["--compare", str(out), str(tmp_path / "change.jsonl")]) == 1
+    assert tool.main(["--compare", str(out), str(out)]) == 0
 
 
 def _run_output(workload, seed, metrics, trace=0, failed=0, commit="base", report_metrics=None):

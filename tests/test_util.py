@@ -1,10 +1,13 @@
 """The shared validators and the callers that use them."""
 
+import math
+
 import numpy as np
 import pytest
 
-from hypoexp import EME, Erlang, Exponential, GofConfig, ParameterError
-from hypoexp._util import check_positive_int, check_positive_real, check_w
+from hypoexp import EME, DomainError, Erlang, Exponential, GofConfig, ParameterError
+from hypoexp import _util
+from hypoexp._util import as_points, check_positive_int, check_positive_real, check_w
 from hypoexp.identities import binomial_sum_residual
 
 
@@ -110,3 +113,51 @@ def test_library_calls_go_through_a_swappable_module_name(monkeypatch):
     sample = EME(2, 1.0, 3.0).sample(500, np.random.default_rng(3))
     hypoexp.fitting.fit_eme(sample, n=2)
     assert calls
+
+
+def _as_points_by_array(x, name="x"):
+    """``as_points`` as it was before its float shortcut: every point through
+    one numpy round trip."""
+    arr = np.asarray(x, dtype=float)
+    ok = (arr >= 0.0) & (arr < math.inf)
+    if not ok.all():
+        bad = float(arr[~ok].flat[0])
+        raise DomainError(f"{name} must be finite and nonnegative, got {bad!r}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
+@pytest.mark.parametrize("value", [1.5, -0.0, 0.0, 5e-324, 1.7976931348623157e308])
+def test_as_points_returns_a_valid_float_as_the_array_path_does(value):
+    got, want = as_points(value), _as_points_by_array(value)
+    assert type(got) is float and got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_as_points_rejects_a_float_with_the_array_path_text(value):
+    with pytest.raises(DomainError) as want:
+        _as_points_by_array(value, "t")
+    with pytest.raises(DomainError) as got:
+        as_points(value, "t")
+    assert str(got.value) == str(want.value)
+
+
+def test_as_points_takes_the_array_path_for_every_other_scalar(monkeypatch):
+    class CountingNumpy:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, *args, **kwargs):
+            CountingNumpy.calls += 1
+            return np.asarray(*args, **kwargs)
+
+    monkeypatch.setattr(_util, "np", CountingNumpy())
+    assert as_points(2.5) == 2.5 and CountingNumpy.calls == 0
+    for value, want in [(np.float64(2.5), 2.5), (3, 3.0), (True, 1.0), (np.float64(-0.0), -0.0)]:
+        got = as_points(value)
+        assert type(got) is float and got == want
+    assert CountingNumpy.calls == 4
+    with pytest.raises(DomainError, match="got -1.0"):
+        as_points(np.float64(-1.0))
