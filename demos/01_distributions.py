@@ -39,7 +39,7 @@ print(f"Hypoexponential(1, 1/2).pdf({x}) = {b.pdf(x):.15f}")
 print()
 for w in (2.0, 1.1, 1.0001, 1.0):
     d = EME(2, 1.0, w)
-    print(f"w={w:<7g} pdf(2.0) = {d.pdf(2.0):.10f}   erlang-limit flag: {d.is_erlang_limit}")
+    print(f"w={w:<7g} pdf(2.0) = {d.pdf(2.0):.10f}")
 print(f"Erlang(3, 1).pdf(2.0) = {Erlang(3, 1.0).pdf(2.0):.10f}")
 
 print()

@@ -20,7 +20,6 @@ from .chains import (
 )
 from .distributions import (
     EME,
-    ERLANG_LIMIT_TOL,
     Erlang,
     Exponential,
     Hypoexponential,
@@ -83,7 +82,6 @@ __all__ = [
     "simulate_absorption",
     "validate_against",
     "EME",
-    "ERLANG_LIMIT_TOL",
     "Erlang",
     "Exponential",
     "Hypoexponential",

@@ -27,7 +27,7 @@ from .errors import HypoexpError
 from .fitting import fit_eme
 from .gof import METHOD_NOTE, GofConfig, gof_residual_curve, gof_test
 from .identities import run_identity_checks
-from .io import dist_to_dict, open_output, read_samples, write_samples
+from .io import dist_to_dict, open_output, print_samples, read_samples, write_samples
 
 
 class _UsageError(Exception):
@@ -76,12 +76,10 @@ def _write_or_print(args, sample, record, message):
         write_samples(args.out, sample)
         _emit(args, [{**record, "count": len(sample), "seed": args.seed, "out": str(args.out)}],
               [message])
+    elif args.format == "structured":
+        _emit(args, [{"type": "value", "value": v} for v in sample.tolist()], [])
     else:
-        _emit(
-            args,
-            [{"type": "value", "value": float(v)} for v in sample],
-            [f"{v:.17g}" for v in sample],
-        )
+        print_samples(sample, sys.stdout)
     return 0
 
 

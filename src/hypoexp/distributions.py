@@ -32,11 +32,6 @@ from .special import log_poisson_weight, partial_exp_sum
 
 sp_special = LazyModule("scipy.special")
 
-# Below this |w - 1| an EME is flagged as sitting on the Erlang(n+1) limit.
-# Evaluation does not need a special branch (the series form is exact through
-# w = 1); the flag is metadata for callers.
-ERLANG_LIMIT_TOL = 1e-6
-
 # Mean uniformization jumps per checkpoint window of ``_Uniformization``;
 # a point's residual then sums about 90 terms.
 _WINDOW = 32.0
@@ -314,16 +309,6 @@ class EME(StageSum):
     @property
     def stages(self):
         return np.array([self.rate, self.rate / self.w]), np.array([self.n, 1])
-
-    @property
-    def is_erlang_limit(self):
-        """True when w is within ERLANG_LIMIT_TOL of 1 (Erlang(n+1) regime)."""
-        return abs(self.w - 1.0) < ERLANG_LIMIT_TOL
-
-    @property
-    def beta(self):
-        """Scale of the incomplete-gamma argument: rate * (w - 1) / w."""
-        return self.rate * (self.w - 1.0) / self.w
 
     @_pointwise
     def logpdf(self, x):

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import LazyModule, as_values, check_positive_int
 from .distributions import EME, _eme_logpdf
-from .errors import ConvergenceError, DataError
+from .errors import ConvergenceError, DataError, ParameterError
 
 optimize = LazyModule("scipy.optimize")
 
@@ -43,6 +43,8 @@ COARSE_POINTS = 4096
 
 def eme_log_likelihood(values, dist):
     """Sum of log densities of ``values`` under an EME distribution."""
+    if not isinstance(dist, EME):
+        raise ParameterError(f"eme_log_likelihood needs an EME distribution, got {dist!r}")
     x = as_values(values, require_positive=True)
     return float(_eme_logpdf(dist.n, dist.rate, dist.w, x).sum())
 
@@ -54,6 +56,7 @@ def moment_start(values, n):
     the data admit solutions on both sides of 1 this returns both; the
     optimizer is launched from each.
     """
+    n = check_positive_int(n, "n")
     x = as_values(values, require_positive=True)
     mean = x.mean()
     # mean^2/var, computed on x/mean so that no square can overflow

@@ -2,8 +2,12 @@
 
 Sample files are either plain text (one nonnegative decimal per line; blank
 lines and whole-line ``#`` comments ignored) or CSV with a header row and a
-named column.  Parameter records are JSON objects with a ``family`` key plus the
-family's parameters, e.g. ``{"family": "eme", "n": 2, "lambda": 1.0, "w": 3.0}``.
+named column (blank cells ignored).  Lines and cells alike are converted by
+one numpy call, which accepts what ``float()`` accepts.  ``print_samples``
+writes the one sample line format, ``.17g`` and one value per line, which
+reads back bit for bit.  Parameter records are JSON objects with a ``family``
+key plus the family's parameters, e.g.
+``{"family": "eme", "n": 2, "lambda": 1.0, "w": 3.0}``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from ._util import as_values
 from .distributions import FAMILIES, family_name, make_distribution
 from .errors import DataError, ParameterError
 
-# Values that ``write_samples`` formats per write.
+# Values that ``print_samples`` formats per write.
 _WRITE_BLOCK = 4096
 
 
@@ -36,42 +39,35 @@ def read_samples(path, column=None):
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if column is not None:
-        values = []
+    if column is None:
+        cells = text.splitlines()
+    else:
         reader = csv.DictReader(text.splitlines())
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise DataError(
                 f"{path} has no column {column!r} (found {reader.fieldnames})"
             )
-        for row in reader:
-            cell = (row[column] or "").strip()
-            if cell:
-                values.append(_parse_value(cell, path))
-        return as_values(values, what="sample values")
-    # Files of bare values, one per line, take one C parse of the text read
-    # above.  Comment lines and blank files skip it; literals such as 1_000
-    # that float() accepts and malformed files fail it.  All of those take the
-    # line loop, which reads every file the parse accepts to the same values.
-    if text.strip() and "#" not in text:
-        try:
-            table = np.loadtxt(StringIO(text), comments=None, ndmin=2)
-        except ValueError:
-            table = None
-        if table is not None and table.shape[1] == 1:
-            return as_values(table[:, 0], what="sample values")
-    values = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            values.append(_parse_value(line, path))
-    return as_values(values, what="sample values")
+        cells = [row[column] or "" for row in reader]
+    return as_values(_to_floats(cells, path, comments=column is None), what="sample values")
 
 
-def _parse_value(token, path):
+def _to_floats(cells, path, comments):
+    # numpy converts each cell as float() does.  Blank cells, and in plain
+    # text whole-line # comments, fail the first conversion and are dropped
+    # for the second; float() then only names the first cell that fails it.
     try:
-        return float(token)
-    except ValueError as exc:
-        raise DataError(f"{path}: not a decimal value: {token!r}") from exc
+        return np.array(cells, dtype=float)
+    except ValueError:
+        cells = [c for c in map(str.strip, cells) if c and not (comments and c.startswith("#"))]
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise DataError(f"{path}: not a decimal value: {cell!r}") from exc
+        raise
 
 
 @contextlib.contextmanager
@@ -89,13 +85,20 @@ def write_samples(path, data):
     """Write a batch as plain text, one value per line (round-trip exact).
 
     DataError, before the file is opened, unless ``read_samples`` accepts the
-    values.  They are formatted ``_WRITE_BLOCK`` at a time, so the text of a
-    large batch is never held whole."""
+    values."""
     values = as_values(data, what="sample values")
     with open_output(path) as out:
-        for start in range(0, values.size, _WRITE_BLOCK):
-            block = values[start : start + _WRITE_BLOCK].tolist()
-            out.write("".join(f"{v:.17g}\n" for v in block))
+        print_samples(values, out)
+
+
+def print_samples(data, file):
+    """Write a batch to the open text stream ``file`` as ``write_samples``
+    writes it.  The values are formatted ``_WRITE_BLOCK`` at a time, so the
+    text of a large batch is never held whole."""
+    values = as_values(data, what="sample values")
+    for start in range(0, values.size, _WRITE_BLOCK):
+        block = values[start : start + _WRITE_BLOCK].tolist()
+        file.write("".join(f"{v:.17g}\n" for v in block))
 
 
 def dist_to_dict(dist):

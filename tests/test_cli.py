@@ -114,6 +114,29 @@ class TestSampleAndFit:
                 "--w", "3", "--count", "50", "--seed", "9", "--out", str(f2))
         assert f1.read_text() == f2.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--dist", "eme", "--n", "2", "--lambda", "1", "--w", "3"],
+        ["simulate", "--stages", "1,1,0.2"],
+    ], ids=["sample", "simulate"])
+    def test_stdout_is_the_out_file_byte_for_byte(self, capsys, tmp_path, argv):
+        # 5000 values cross the writer's block boundary
+        out_file = tmp_path / "values.txt"
+        argv = [*argv, "--count", "5000", "--seed", "4"]
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 0
+        assert printed.encode() == out_file.read_bytes()
+        assert len(printed.splitlines()) == 5000
+
+    def test_structured_stdout_is_one_record_per_value(self, capsys, tmp_path):
+        out_file = tmp_path / "values.txt"
+        argv = ["simulate", "--stages", "1,0.5", "--count", "20", "--seed", "4"]
+        code, printed, _ = run_cli(capsys, *argv, "--format", "structured")
+        assert code == 0
+        run_cli(capsys, *argv, "--out", str(out_file))
+        records = [json.loads(line) for line in printed.splitlines()]
+        assert records == [{"type": "value", "value": v} for v in read_samples(out_file).tolist()]
+
     def test_sample_then_fit_round_trip(self, capsys, tmp_path):
         data = tmp_path / "eme.txt"
         run_cli(capsys, "sample", "--dist", "eme", "--n", "2", "--lambda", "1",

@@ -45,6 +45,18 @@ class TestValidation:
             with pytest.raises(ParameterError):
                 fit_eme(np.array([1.0, 2.0, 3.0]), max_n=bad)
 
+    @pytest.mark.parametrize("bad", [-1, 0, 2.5, True])
+    def test_moment_start_bad_n(self, bad):
+        # n = -1 gave a negative and a zero rate, n = 0 no start at all
+        x = np.random.default_rng(1).exponential(size=100)
+        with pytest.raises(ParameterError, match="n must be a positive integer"):
+            moment_start(x, bad)
+
+    def test_likelihood_of_a_law_that_is_not_eme(self):
+        x = np.random.default_rng(1).exponential(size=100)
+        with pytest.raises(ParameterError, match="needs an EME distribution"):
+            eme_log_likelihood(x, Erlang(2, 1.0))
+
 
 class TestMomentStart:
     def test_inverts_true_moments(self):

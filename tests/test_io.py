@@ -154,6 +154,58 @@ class TestSampleFiles:
             read_samples(path, column=column)
 
 
+class TestOneConverter:
+    """Plain-text lines and CSV cells go through one conversion."""
+
+    def test_csv_comment_cell_is_an_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("x\n1\n#x\n2\n")
+        with pytest.raises(DataError, match=r"not a decimal value: '#x'$"):
+            read_samples(path, column="x")
+
+    @pytest.mark.parametrize("column", [None, "x"])
+    def test_first_of_two_bad_cells_is_named(self, tmp_path, column):
+        path = tmp_path / "values.txt"
+        body = "1\n\noops\n2\nbad\n"
+        path.write_text(f"{column}\n{body}" if column else body)
+        with pytest.raises(DataError, match=r"not a decimal value: 'oops'$"):
+            read_samples(path, column=column)
+
+    @pytest.mark.parametrize("column", [None, "x"])
+    def test_bad_token_wins_over_an_earlier_negative_value(self, tmp_path, column):
+        path = tmp_path / "values.txt"
+        body = "1\n-3\n0x10\n"
+        path.write_text(f"{column}\n{body}" if column else body)
+        with pytest.raises(DataError, match=r"not a decimal value: '0x10'$"):
+            read_samples(path, column=column)
+
+    def test_underscore_literal_reads_as_its_value(self, tmp_path):
+        plain, underscored = tmp_path / "plain.txt", tmp_path / "underscored.txt"
+        plain.write_text("2.5\n1000\n")
+        underscored.write_text("2.5\n1_000\n")
+        assert read_samples(underscored).tobytes() == read_samples(plain).tobytes()
+
+    @pytest.mark.parametrize("kind", ["header", "underscore", "crlf", "csv"])
+    def test_written_values_read_back_bit_for_bit_in_every_layout(self, tmp_path, kind):
+        # test_written_values_read_back_bit_for_bit has the plain layout
+        values = EME(20, 1.0, 0.8).sample(10**4, np.random.default_rng(18))
+        lines = [f"{v:.17g}" for v in values.tolist()]
+        expected = values
+        column = None
+        if kind == "header":
+            lines.insert(0, "# EME(20, 1, 0.8) draws")
+        elif kind == "underscore":
+            lines.append("1_000")
+            expected = np.append(values, 1000.0)
+        elif kind == "csv":
+            lines = ["idx,x", *(f"{i},{line}" for i, line in enumerate(lines))]
+            column = "x"
+        path = tmp_path / "values.txt"
+        newline = "\r\n" if kind == "crlf" else "\n"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        assert read_samples(path, column=column).tobytes() == expected.tobytes()
+
+
 def _read_by_lines(path):
     """The plain-text grammar spelled out: whole-line ``#`` comments, blank
     lines skipped, one ``float()`` literal per line.  ``read_samples`` must
