@@ -39,6 +39,9 @@ _WINDOW = 32.0
 # Bytes of standard exponential draws that ``StageSum.sample`` holds at once.
 _DRAW_BYTES = 1 << 17
 
+# Points per block of an EME derivative pass (``_eme_logpdf``).
+_PASS_POINTS = 8192
+
 
 def _pointwise(method):
     """Check the points of ``method(self, x)`` with ``as_points``; the method
@@ -414,9 +417,24 @@ def _eme_logpdf(n, rate, w, x, derivatives=False):
 
     which stay accurate as w -> 0, towards the Erlang(n) limit.  The terms
     are reduced by sums and dot products; no per-point Hessian is formed.
+    A derivative pass takes the points ``_PASS_POINTS`` at a time, so the many
+    passes of a fit reuse small blocks instead of faulting in full-size ones.
     """
-    shape = x.shape
+    if not derivatives:
+        return _eme_terms(n, rate, w, x.ravel()).reshape(x.shape)
     x = x.ravel()
+    # sums over the points of log f, and of d/da, d/db, d2/da2, d2/dadb, d2/db2
+    ll, sums = 0.0, np.zeros(5)
+    for start in range(0, x.size, _PASS_POINTS):
+        ll += _eme_terms(n, rate, w, x[start : start + _PASS_POINTS], sums).sum()
+    d_a, d_b, h_aa, h_ab, h_bb = sums / x.size
+    return float(ll / x.size), np.array([d_a, d_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+
+def _eme_terms(n, rate, w, x, sums=None):
+    # log densities at the flat array x; with ``sums``, the sums over x of
+    # their derivatives in _eme_logpdf's order are added into it
+    derivatives = sums is not None
     out = np.empty_like(x)
     lx = rate * x
     u = (w - 1.0) / w * lx
@@ -430,8 +448,6 @@ def _eme_logpdf(n, rate, w, x, derivatives=False):
         inside = abs_u <= n + 1.0
         series, direct = np.flatnonzero(inside), np.flatnonzero(~inside)
     log_rw = math.log(rate / w)
-    # sums over the points of d/da, d/db, d2/da2, d2/dadb and d2/db2
-    sums = np.zeros(5)
 
     lxs = lx[series]
     if lxs.size:
@@ -489,10 +505,7 @@ def _eme_logpdf(n, rate, w, x, derivatives=False):
                          k_sum - lx_sum, k_sum / (w - 1.0),
                          (k_sum + w * (ud.size - rho_sum)) / (w - 1.0) ** 2)
 
-    if not derivatives:
-        return out.reshape(shape)
-    d_a, d_b, h_aa, h_ab, h_bb = sums / x.size
-    return float(out.mean()), np.array([d_a, d_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
+    return out
 
 
 def _eme_cdf(n, rate, w, x):

@@ -91,11 +91,10 @@ def write_samples(path, data):
         print_samples(values, out)
 
 
-def print_samples(data, file):
-    """Write a batch to the open text stream ``file`` as ``write_samples``
-    writes it.  The values are formatted ``_WRITE_BLOCK`` at a time, so the
-    text of a large batch is never held whole."""
-    values = as_values(data, what="sample values")
+def print_samples(values, file):
+    """Write checked 1-D float ``values`` to the open text stream ``file`` as
+    ``write_samples`` does, ``_WRITE_BLOCK`` at a time, so the text of a large
+    batch is never held whole."""
     for start in range(0, values.size, _WRITE_BLOCK):
         block = values[start : start + _WRITE_BLOCK].tolist()
         file.write("".join(f"{v:.17g}\n" for v in block))

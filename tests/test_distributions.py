@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypoexp import (
     ParameterError,
     dist_from_dict,
     dist_to_dict,
+    distributions,
     family_name,
     make_distribution,
 )
@@ -422,6 +424,31 @@ class TestEME:
             np.testing.assert_allclose(hessian, np.mean([p[2] for p in points], axis=0),
                                        rtol=1e-12, atol=1e-14)
             assert mean_ll == pytest.approx(_eme_logpdf(n, 1.1, w, x).mean(), rel=1e-15)
+
+    def test_derivative_pass_over_blocks_matches_one_block(self, monkeypatch):
+        # three full blocks and a partial one, against the same pass in one
+        # block; only the order of the sums differs
+        rng = np.random.default_rng(4)
+        x = np.sort(rng.exponential(2.0, 3 * distributions._PASS_POINTS + 5))
+        for n, w in ((2, 4.0), (3, 0.25), (20, 0.8)):
+            blocks = _eme_logpdf(n, 1.1, w, x, derivatives=True)
+            monkeypatch.setattr(distributions, "_PASS_POINTS", x.size)
+            whole = _eme_logpdf(n, 1.1, w, x, derivatives=True)
+            monkeypatch.undo()
+            assert blocks[0] == pytest.approx(whole[0], rel=1e-14)
+            np.testing.assert_allclose(blocks[1], whole[1], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(blocks[2], whole[2], rtol=1e-12, atol=1e-14)
+
+    def test_derivative_pass_holds_no_array_of_the_data_size(self):
+        x = np.sort(np.random.default_rng(5).exponential(2.0, 100_000))
+        for n, w in ((2, 4.0), (3, 0.25), (20, 0.8)):
+            tracemalloc.start()
+            try:
+                _eme_logpdf(n, 1.1, w, x, derivatives=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * x.nbytes, (n, w, peak)
 
     @pytest.mark.parametrize("n, w", [(20, 0.8), (40, 0.55)])
     def test_cdf_series_branch_against_mpmath(self, n, w):
