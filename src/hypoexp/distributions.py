@@ -45,14 +45,14 @@ _PASS_POINTS = 8192
 
 def _pointwise(method):
     """Check the points of ``method(self, x)`` with ``as_points``; the method
-    sees a float64 array, and a scalar point gets a float back."""
+    sees a float64 array, 0-d for a scalar point, which gets a float back."""
     name = method.__code__.co_varnames[1]
 
     @functools.wraps(method)
     def checked(self, x):
         x = as_points(x, name)
         if isinstance(x, float):
-            return float(method(self, np.array([x]))[0])
+            return float(method(self, np.array(x)))
         return method(self, x)
 
     return checked
@@ -258,9 +258,12 @@ class _Uniformization:
 
     def __call__(self, x, col):
         """sum_k pois(k; Lambda x) (e_0 P^k)[col] at the points x."""
+        cap = 2.0 ** (len(self.powers) - 1)
+        if x.ndim == 0:  # one point, as in root finding: no sort and no window groups
+            y = min(float(x) * self.scale, cap)
+            return self._residual(self._row(int(y)) @ self.coef[:, col], y % 1.0)
         flat = x.ravel()
         order = np.argsort(flat, kind="stable")
-        cap = 2.0 ** (len(self.powers) - 1)
         y = np.minimum(flat[order] * self.scale, cap)  # Lambda x / _WINDOW
         windows = np.floor(y)
         u = y - windows  # s / _WINDOW, in [0, 1)
@@ -268,15 +271,20 @@ class _Uniformization:
         rows = np.reshape([self._row(int(windows[a])) for a in starts], (-1, self.start.size))
         out = np.empty_like(flat)
         for coef, a, b in zip(rows @ self.coef[:, col], starts, starts[1:] + [y.size]):
-            if b - a > 256:  # many points: Horner with scalar coefficients
-                acc = np.full(b - a, coef[-1])
-                for c in coef[-2::-1]:
-                    acc *= u[a:b]
-                    acc += c
-            else:  # few: one table of powers, cheaper than a loop per term
-                acc = (u[a:b, None] ** np.arange(coef.size)) @ coef
-            out[order[a:b]] = acc * np.exp(-_WINDOW * u[a:b])
+            out[order[a:b]] = self._residual(coef, u[a:b])
         return out.reshape(x.shape)
+
+    @staticmethod
+    def _residual(coef, u):
+        """sum_k coef[k] u^k exp(-_WINDOW u) at u, a float or an array."""
+        if np.size(u) > 256:  # many points: Horner with scalar coefficients
+            acc = np.full(u.size, coef[-1])
+            for c in coef[-2::-1]:
+                acc *= u
+                acc += c
+        else:  # few: one table of powers, cheaper than a loop per term
+            acc = np.power.outer(u, np.arange(coef.size)) @ coef
+        return acc * np.exp(-_WINDOW * u)
 
     def _row(self, j):
         """e_0 M^j from the binary powers of M."""
@@ -438,15 +446,7 @@ def _eme_terms(n, rate, w, x, sums=None):
     out = np.empty_like(x)
     lx = rate * x
     u = (w - 1.0) / w * lx
-    abs_u = np.abs(u)
-    if np.all(x[1:] >= x[:-1]):
-        # ascending points (as fitting passes them): |u| ascends too, so the
-        # series branch is a prefix and both branches are slices
-        cut = int(np.searchsorted(abs_u, n + 1.0, side="right"))
-        series, direct = slice(0, cut), slice(cut, None)
-    else:
-        inside = abs_u <= n + 1.0
-        series, direct = np.flatnonzero(inside), np.flatnonzero(~inside)
+    series, direct = _branches(n, np.abs(u))
     log_rw = math.log(rate / w)
 
     lxs = lx[series]
@@ -508,6 +508,17 @@ def _eme_terms(n, rate, w, x, sums=None):
     return out
 
 
+def _branches(n, abs_u):
+    """(series, other): the points with |u| <= n + 1 and the rest.  Ascending
+    |u| (as fitting and ``validate_against`` pass points) makes the series
+    points a prefix, and both are slices; else they are index arrays."""
+    if np.all(abs_u[1:] >= abs_u[:-1]):
+        cut = int(np.searchsorted(abs_u, n + 1.0, side="right"))
+        return slice(0, cut), slice(cut, None)
+    inside = abs_u <= n + 1.0
+    return np.flatnonzero(inside), np.flatnonzero(~inside)
+
+
 def _eme_cdf(n, rate, w, x):
     """CDF of EME(n, rate, w), by termwise integration of the density.
 
@@ -527,23 +538,49 @@ def _eme_cdf(n, rate, w, x):
     reach v^n and leave about 2 eps v^n of rounding, 1.4e-14 at the cap.  For
     the other w > 1, and for 1/2 < w < 1, |r| < 1 and the series serves every
     point.
+
+    Each branch runs only on its own points, and ``gammainc`` once on them:
+    the closed form at order n, the series at its top order.  The lower
+    orders follow from P(a, x) = P(a+1, x) + pois(a, x), which adds positive
+    terms.  One point (a 0-d ``x``, as root finding passes) runs its branch
+    on a Python float and gets a float back.
     """
-    lx = rate * x
     closed_ok = w <= 0.5 or (w > 1.0 and n * (math.log(w) - math.log(w - 1.0)) <= math.log(32.0))
-    closed = abs(w - 1.0) / w * lx > n + 1.0
-    if not (closed_ok and closed.any()):
-        return np.clip(_eme_cdf_series(n, w, lx), 0.0, 1.0)
+    # x = 0 gives pois = 0 at every order >= 1 through a tiny positive lx
+    if x.ndim == 0:
+        lx = max(rate * float(x), 1e-300)
+        closed = closed_ok and abs(w - 1.0) / w * lx > n + 1.0
+        vals = _eme_cdf_closed(n, w, lx) if closed else _eme_cdf_series(n, w, lx, lx)
+        return min(max(vals, 0.0), 1.0)
+    lx = np.maximum(rate * x.ravel(), 1e-300)
+    series, closed = _branches(n, abs(w - 1.0) / w * lx) if closed_ok else (slice(None), slice(0))
+    vals = np.empty_like(lx)
+    lxs, lxc = lx[series], lx[closed]
+    if lxs.size:
+        vals[series] = _eme_cdf_series(n, w, lxs, float(lxs.max()))
+    if lxc.size:
+        vals[closed] = _eme_cdf_closed(n, w, lxc)
+    return np.minimum(np.maximum(vals, 0.0), 1.0).reshape(x.shape)
+
+
+def _eme_cdf_closed(n, w, lx):
+    """F at the points lx = rate x by the closed form of ``_eme_cdf``, with
+    P(n, lx) from ``gammainc`` and P(a, lx) = P(a+1, lx) + pois(a, lx) for
+    a = n-1 down to 1, pois taken downward by pois(a, x) = pois(a+1, x) (a+1) / x."""
+    plain = float if isinstance(lx, float) else np.asarray  # one point: Python floats
     v = w / (w - 1.0)
-    vals = v**n * (-np.expm1(-lx / w))
-    for k in range(n):
-        vals -= v ** (n - k) * sp_special.gammainc(k + 1, lx) / w
-    if not closed.all():
-        vals[~closed] = _eme_cdf_series(n, w, lx[~closed])
-    return np.clip(vals, 0.0, 1.0)
+    p = plain(sp_special.gammainc(n, lx))  # P(a, lx), from a = n down
+    total = v * p
+    for a in range(n - 1, 0, -1):
+        pois = plain(np.exp(log_poisson_weight(a, lx))) if a == n - 1 else pois * ((a + 1) / lx)
+        p += pois
+        total += v ** (n + 1 - a) * p
+    return v**n * -np.expm1(-lx / w) - total / w
 
 
-def _eme_cdf_series(n, w, lx):
-    """F at the points lx = rate x by the integrated series of ``_eme_cdf``.
+def _eme_cdf_series(n, w, lx, lx_max):
+    """F at the points lx = rate x, the largest lx_max, by the integrated
+    series of ``_eme_cdf``.
 
     It stops at the first J whose next term at the largest point is bounded
     below 1e-18 of the partial sum there.  With P(a, x) = P(a+1, x) + pois(a, x),
@@ -556,43 +593,35 @@ def _eme_cdf_series(n, w, lx):
     from pois(a, x) = pois(a+1, x) (a+1) / x.
     """
     r = (w - 1.0) / w
-    lx_max = float(lx.max()) if lx.size else 0.0
-    if lx_max == 0.0:
-        return np.zeros_like(lx)
     # Top order from bounds at lx_max.  w F = int_0^x pois(n, y) S(r y) dy with
     # S(u) >= exp(u/(n+1)) (Jensen on the Beta(1, n) mixture), so the partial
     # sum is at least low P(n+1, x), low = min(1, exp(r x/(n+1))); for
     # -1 < r < 0 the alternating series also gives 1 + r.  And
     # P(a, x) <= pois(a, x) (a+1)/(a+1-x) for a + 1 > x, else 1.
+    # It stops at the first top with |r|^(top-n) min(1, that bound) <= floor,
+    # which is |r|^(top-n) <= floor or |r|^(top-n) bound <= floor.
     low = min(1.0, max(1.0 + r, math.exp(r * lx_max / (n + 1))))
-    floor = 1e-18 * low * sp_special.gammainc(n + 1, lx_max)
+    floor = 1e-18 * low * float(sp_special.gammainc(n + 1, lx_max))
     log_x = math.log(lx_max)
     log_pois = (n + 1) * log_x - lx_max - math.lgamma(n + 2)
-    coeff = 1.0
-    top = n + 1
+    coeff, abs_r, top = 1.0, abs(r), n + 1
     while True:
-        coeff *= r
+        coeff *= abs_r
         log_pois += log_x - math.log(top + 1)
-        bound = 1.0
-        if top + 2 > lx_max:
-            bound = min(1.0, math.exp(log_pois) * (top + 2) / (top + 2 - lx_max))
-        if abs(coeff) * bound <= floor:
+        if coeff <= floor or top + 2 > lx_max and (
+                coeff * (math.exp(log_pois) * (top + 2) / (top + 2 - lx_max)) <= floor):
             break
         top += 1
-    shape = lx.shape
-    if lx.size == 1:  # one point, as in root finding: numpy scalars skip the array overhead
-        lx = lx.flat[0]
-    # x = 0 gives pois = 0 at every order >= 1 through a tiny positive lx
-    lx = np.maximum(lx, 1e-300)
+    plain = float if isinstance(lx, float) else np.asarray  # one point: Python floats
     inv_lx = 1.0 / lx
-    vals = (1.0 - r ** (top - n)) / (1.0 - r) * sp_special.gammainc(top, lx)
+    vals = (1.0 - r ** (top - n)) / (1.0 - r) * plain(sp_special.gammainc(top, lx))
     for a in range(top - 1, n, -1):
         if (top - a) % 16 == 1:  # exact every 16 orders, so rounding cannot build up
-            pois = np.exp(log_poisson_weight(a, lx))
+            pois = plain(np.exp(log_poisson_weight(a, lx)))
         else:
             pois *= (a + 1) * inv_lx
         vals += (1.0 - r ** (a - n)) / (1.0 - r) * pois
-    return np.reshape(vals, shape) / w
+    return vals / w
 
 
 # canonical name -> (class, aliases, constructor parameters); drives

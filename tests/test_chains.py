@@ -1,6 +1,7 @@
 """Stage chains: construction, simulation, distributional validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypoexp import (
     simulate_absorption,
     validate_against,
 )
+from hypoexp.distributions import _PASS_POINTS
 
 
 class TestChainConstruction:
@@ -81,6 +83,31 @@ class TestValidation:
     def test_ks_distance_hand_value(self):
         # single observation at ln 2 against Exp(1): F = 1/2, ECDF jumps 0 -> 1
         assert ks_distance([math.log(2.0)], Exponential(1.0)) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("dist", [Exponential(0.7), Erlang(3, 2.0)], ids=repr)
+    def test_ks_distance_over_blocks_is_the_whole_array_formula(self, dist):
+        # three full blocks and a partial one; the cdf of these laws does not
+        # depend on the other points of a call, so the maxima agree exactly
+        x = np.sort(dist.sample(3 * _PASS_POINTS + 5, np.random.default_rng(8)))
+        n = x.size
+        cdf = dist.cdf(x)
+        grid = np.arange(1, n + 1) / n
+        want = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
+        assert ks_distance(x, dist) == want
+        assert ks_distance(x[::-1], dist) == want
+
+    def test_ks_distance_holds_no_array_of_the_data_size_but_the_sort(self):
+        for dist in (EME(2, 1.0, 4.0), EME(3, 2.0, 0.25), EME(20, 1.0, 0.8),
+                     Hypoexponential((1.0, 2.0, 3.0, 4.0, 5.0))):
+            x = dist.sample(100_000, np.random.default_rng(9))
+            ks_distance(x[:10], dist)  # scipy.special loads on first use
+            tracemalloc.start()
+            try:
+                ks_distance(x, dist)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * x.nbytes, (dist, peak)
 
     def test_eme_chain_times_match_eme_law(self):
         chain = eme_chain(2, 1.0, 0.5)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import upper_gamma_q
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from hypoexp import (
     EME,
@@ -48,6 +48,22 @@ def _eme_cdf_mp(mpmath, n, rate, w, x):
         for k in range(n):
             total -= v ** (n - k) * mpmath.gammainc(k + 1, 0, lx, regularized=True) / w
         return float(total)
+
+
+def _eme_cdf_quad_mp(mpmath, n, rate, w, x):
+    """CDF of EME(n, rate, w) at x by 60-digit quadrature of the density
+    f = (rate/w) e^{-lx} lx^n / n! 1F1(1; n+1; (w-1)/w lx).  The integrand is
+    f / f(x): mpmath's tolerance is absolute, and F can be far below 1e-60."""
+    with mpmath.workdps(60):
+        rate, w, x = mpmath.mpf(rate), mpmath.mpf(w), mpmath.mpf(x)
+
+        def density(t):
+            lx = rate * t
+            return (rate / w * mpmath.exp(-lx) * lx**n / mpmath.factorial(n)
+                    * mpmath.hyp1f1(1, n + 1, (w - 1) / w * lx))
+
+        top = density(x)
+        return float(mpmath.quad(lambda t: density(t) / top, [0, x]) * top)
 
 
 ALL_FAMILIES = [
@@ -498,6 +514,43 @@ class TestEME:
         for xi, gi in zip(x, d.cdf(x)):
             assert gi == pytest.approx(_eme_cdf_mp(mpmath, n, rate, w, xi), rel=1e-13, abs=0.0), xi
 
+    @pytest.mark.parametrize(
+        "n, w", [(40, 0.05), (40, 0.3), (40, 0.5), (100, 0.05), (100, 0.3), (100, 0.5),
+                 (40, 20.0), (100, 50.0)])
+    def test_closed_cdf_at_large_n_against_quadrature(self, n, w):
+        # P(k+1, lx) for k < n-1 come from P(n, lx) by adding Poisson terms;
+        # points 1% either side of |u| = n + 1, where the closed form starts
+        # (v^n <= 32 for the w > 1 cases), and in the bulk
+        mpmath = pytest.importorskip("mpmath")
+        d = EME(n, 1.0, w)
+        cut = (n + 1.0) * w / abs(w - 1.0)  # rate x at |u| = n + 1
+        x = np.array([0.99 * cut, 1.01 * cut, 1.2 * cut, d.mean + 3.0 * math.sqrt(d.var)])
+        for xi, gi in zip(x, d.cdf(x)):
+            want = _eme_cdf_quad_mp(mpmath, n, 1.0, w, xi)
+            assert gi == pytest.approx(want, rel=1e-13, abs=0.0), xi
+            assert d.cdf(float(xi)) == pytest.approx(want, rel=1e-13, abs=0.0), xi
+
+    def test_closed_cdf_calls_gammainc_once(self, monkeypatch):
+        calls = []
+
+        class CountingSpecial:
+            def gammainc(self, a, x):
+                calls.append(a)
+                return special.gammainc(a, x)
+
+        monkeypatch.setattr(distributions, "sp_special", CountingSpecial())
+        for n, w in ((2, 4.0), (5, 0.25), (40, 0.3), (40, 20.0)):
+            d = EME(n, 1.0, w)
+            cut = (n + 1.0) * w / abs(w - 1.0)
+            for x in (cut * np.array([1.5, 2.0, 3.0]), 1.5 * cut):  # closed points only
+                calls.clear()
+                d.cdf(x)
+                assert calls == [n], (n, w, x)
+            # a mixed call: the series runs gammainc twice, at orders above n
+            calls.clear()
+            d.cdf(cut * np.array([0.5, 1.5, 3.0]))
+            assert len(calls) == 3 and calls.count(n) == 1, (n, w, calls)
+
     def test_tail_series_raises_when_unconverged(self):
         # far outside its branch (|u| >> n+1) the terms grow past the cap
         with pytest.raises(ConvergenceError):
@@ -617,6 +670,28 @@ class TestConsistencyAcrossFamilies:
         vals = dist.laplace(t)
         assert vals[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(np.diff(vals) < 0.0)
+
+    @pytest.mark.parametrize(
+        "dist, x",
+        [(Exponential(1.3), [0.0, 0.5, 3.0]),
+         (Erlang(3, 2.0), [0.0, 0.4, 1.5, 6.0]),
+         # checkpoint windows of 32 / max rate = 6.4: window 0, then 1, 3 and 9
+         (Hypoexponential((1.0, 2.0, 3.0, 4.0, 5.0)), [0.0, 0.3, 2.0, 6.0, 7.0, 20.0, 60.0]),
+         (Hypoexponential((1.0, 2.0, 2.0, 5.0)), [0.05, 1.5, 12.0]),
+         (EME(2, 1.0, 4.0), [5.0, 8.0, 20.0]),  # closed form only (|u| > 3)
+         (EME(20, 1.0, 0.8), [0.5, 10.0, 25.0, 60.0]),  # series only
+         (EME(3, 2.0, 0.25), [0.0, 0.1, 0.5, 1.0, 3.0]),  # both
+         (EME(40, 1.0, 20.0), [10.0, 43.0, 44.0, 90.0])],  # both
+        ids=repr)
+    def test_one_point_calls_give_floats_equal_to_the_array_call(self, dist, x):
+        # one point takes its own short path; the EME series may also stop
+        # sooner for it than for the largest point of an array
+        for name in ("pdf", "cdf"):
+            method = getattr(dist, name)
+            for xi, want in zip(x, method(np.array(x))):
+                got = method(xi)
+                assert type(got) is float, name
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0), (name, xi)
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: repr(d))
     def test_domain_errors(self, dist):
